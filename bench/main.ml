@@ -946,6 +946,110 @@ let multi_session_results () : refresh_result list =
          r_converged = List.for_all snd runs })
     [ 1; 4; 16 ]
 
+(* --- the serve unit-cost benchmark: write cost against table size ---
+
+   What does one serving-layer write unit cost as the table it writes
+   grows? The same 2-row INSERT unit is applied through a scheduler
+   session over a [groups] base of 2k, 20k and 200k rows, with a lazy
+   SUM/COUNT view capturing its deltas. The sizes take turns unit by unit
+   so host noise lands on all three alike; each row reports the median
+   per-unit latency. All-or-nothing apply must cost time proportional to
+   the rows a unit changes, so the same-run invariant is: the 200k median
+   is at most twice the 2k median. Divergence-gated: after the timed
+   units every view must agree with a row-engine recompute. *)
+
+let serve_unit_sizes = [ 2_000; 20_000; 200_000 ]
+let serve_unit_units = 200
+
+let serve_unit_cost_results () : refresh_result list =
+  let module Scheduler = Openivm_server.Scheduler in
+  let module Session = Openivm_server.Session in
+  let domain = 1_000 in
+  let view_sql =
+    "CREATE MATERIALIZED VIEW bench_v AS SELECT group_index, \
+     SUM(group_value) AS total_value, COUNT(*) AS n FROM groups GROUP BY \
+     group_index"
+  in
+  let setup rows =
+    let db = Database.create () in
+    ignore (Database.exec db Datagen.groups_ddl);
+    Datagen.populate_groups ~domain db (Datagen.create ~seed:42 ()) ~rows;
+    let flags =
+      { Openivm.Flags.default with Openivm.Flags.refresh = Openivm.Flags.Lazy }
+    in
+    let ext = Openivm.Runner.load ~flags db in
+    let sched = Scheduler.create ext in
+    let sess = Session.create sched ~tenant:"bench" in
+    (match Session.exec sess view_sql with
+     | Session.Msg _ -> ()
+     | _ -> failwith "serve_unit_cost: view install failed");
+    (rows, db, ext, sched, sess, ref [], ref true)
+  in
+  let runs = List.map setup serve_unit_sizes in
+  for u = 0 to serve_unit_units - 1 do
+    let sql =
+      Printf.sprintf "INSERT INTO groups VALUES ('%s', %d), ('%s', %d)"
+        (Datagen.group_key (u mod domain)) u
+        (Datagen.group_key (u * 7 mod domain)) (u * 3)
+    in
+    List.iter
+      (fun (_, _, _, _, sess, times, ok) ->
+         let t0 = Unix.gettimeofday () in
+         (match Session.exec sess sql with
+          | Session.Affected 2 -> ()
+          | _ -> ok := false);
+         times := (Unix.gettimeofday () -. t0) :: !times)
+      runs
+  done;
+  List.map
+    (fun (rows, db, ext, sched, sess, times, ok) ->
+       Session.close sess;
+       Scheduler.drain sched;
+       let converged =
+         !ok
+         && List.for_all
+              (fun v ->
+                 let saved = db.Database.exec_engine in
+                 db.Database.exec_engine <- Exec.Row;
+                 let expected =
+                   Fun.protect
+                     ~finally:(fun () -> db.Database.exec_engine <- saved)
+                     (fun () -> Openivm.Runner.recompute_rows v)
+                 in
+                 Openivm.Runner.visible_rows v = expected)
+              ext.Openivm.Runner.ext_views
+       in
+       { r_shape = "serve_unit_cost";
+         r_strategy = Printf.sprintf "base_%d" rows;
+         r_engine = Exec.engine_to_string !Exec.default_engine;
+         r_domains = 1;
+         r_median = median !times;
+         r_min = List.fold_left min infinity !times;
+         r_max = List.fold_left max neg_infinity !times;
+         r_converged = converged })
+    runs
+
+(* The same-run invariant on [serve_unit_cost]: [Some message] when the
+   largest base's median unit cost exceeds twice the smallest's. *)
+let serve_unit_cost_violation (rows : refresh_result list) : string option =
+  let cost n =
+    List.find_map
+      (fun r ->
+         if r.r_strategy = Printf.sprintf "base_%d" n then Some r.r_median
+         else None)
+      rows
+  in
+  let small = List.hd serve_unit_sizes
+  and large = List.nth serve_unit_sizes (List.length serve_unit_sizes - 1) in
+  match (cost small, cost large) with
+  | Some c_small, Some c_large when c_large > 2.0 *. c_small ->
+    Some
+      (Printf.sprintf
+         "serve_unit_cost: a unit over %d base rows costs %s, more than \
+          twice the %s it costs over %d"
+         large (Timer.pp_duration c_large) (Timer.pp_duration c_small) small)
+  | _ -> None
+
 (* --- the domains axis: domain-parallel refresh scaling ---
 
    The same timed protocol as the main table, re-run at each requested
@@ -1197,6 +1301,17 @@ let refresh_bench () =
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
     multi;
+  (* the write-path scaling rows: shape "serve_unit_cost", one strategy
+     slot per base size, plus their same-run invariant *)
+  let unit_cost = serve_unit_cost_results () in
+  List.iter
+    (fun r ->
+       Printf.printf "serve_unit_cost/%-12s %s\n" r.r_strategy
+         (Timer.pp_duration r.r_median);
+       if not r.r_converged then
+         diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
+    unit_cost;
+  let violation = serve_unit_cost_violation unit_cost in
   (* the domains axis: domain-parallel rows for the shardable shapes *)
   let parallel = parallel_results () in
   List.iter
@@ -1208,12 +1323,13 @@ let refresh_bench () =
              r.r_engine )
            :: !diverged)
     parallel;
-  let results = List.rev !results @ recovery @ multi @ parallel in
+  let results = List.rev !results @ recovery @ multi @ unit_cost @ parallel in
   let oc = open_out !refresh_out in
   output_string oc (refresh_json results);
   close_out oc;
   Printf.printf "wrote %s (%d measurements)\n" !refresh_out
     (List.length results);
+  Option.iter (Printf.eprintf "BENCH INVARIANT: %s\n") violation;
   if !diverged <> [] then begin
     List.iter
       (fun (shape, strategy, engine) ->
@@ -1223,7 +1339,8 @@ let refresh_bench () =
            shape strategy engine)
       (List.rev !diverged);
     exit 1
-  end
+  end;
+  if violation <> None then exit 1
 
 (* --- Bechamel micro-benchmarks: one Test.make per experiment table --- *)
 

@@ -823,7 +823,11 @@ let serve_action port socket host schema_file init_file strategy eager domains
     | None -> Ok ()
     | Some path ->
       (try
-         ignore (Database.exec_script db (read_file path));
+         (* statement by statement: a bulk-load schema file never holds
+            its whole AST *)
+         Openivm_sql.Parser.iter_script
+           (fun stmt -> ignore (Database.exec_stmt db stmt))
+           (read_file path);
          Ok ()
        with
        | Sys_error msg -> Error msg
@@ -880,6 +884,11 @@ let serve_action port socket host schema_file init_file strategy eager domains
          Srv.Server.stop srv;
          Error (Printf.sprintf "init script parse error at byte %d: %s" pos msg))
   in
+  (* Units cost microseconds, so a busy server accumulates table rows
+     fast; at OCaml's default space_overhead (120) its heap grew to about
+     three times its live rows. The bulk load above still runs at the
+     default. *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 30 };
   Printf.printf "openivm: serving on %s (strategy %s, tick every %gs)\n%!"
     (Srv.Server.addr_text srv)
     (Openivm.Flags.strategy_to_string strategy)
@@ -951,10 +960,11 @@ let serve_cmd =
           ROLLBACK / PING / QUIT) — $(b,minidb_shell --connect HOST:PORT) \
           is a ready-made client — and an HTTP GET on the same port \
           serves /metrics in Prometheus text format.";
-      `P "Transactions are all-or-nothing: a failed COMMIT restores the \
-          touched tables and delta captures from a snapshot taken when \
-          the unit started, so one session's rollback never disturbs \
-          another session's queued deltas." ]
+      `P "Transactions are all-or-nothing: a failed COMMIT replays the \
+          undo log the unit kept on the tables and delta captures it \
+          touched, in time proportional to the rows it changed, so one \
+          session's rollback never disturbs another session's queued \
+          deltas." ]
   in
   Cmd.v
     (Cmd.info "serve" ~doc ~man)

@@ -1024,9 +1024,9 @@ let refresh_for_query ext (q : Ast.select) =
     parser path of the paper — [CREATE MATERIALIZED VIEW] is intercepted
     and compiled; SELECTs over maintained views refresh them first;
     everything else goes to the engine untouched. *)
-let exec_ext (ext : extension) (sql : string) :
+let exec_parsed (ext : extension) ~(sql : string) (stmt : Ast.stmt) :
   [ `Result of Database.exec_result | `Installed of view ] =
-  match Openivm_sql.Parser.parse_statement sql with
+  match stmt with
   | Ast.Create_view { materialized = true; _ } ->
     let v = install ~flags:ext.ext_flags ~registry:ext.ext_views ext.ext_db sql in
     ext.ext_views <- v :: ext.ext_views;
@@ -1051,6 +1051,9 @@ let exec_ext (ext : extension) (sql : string) :
     Error.fail "%s: %s" d.Openivm_sql.Diagnostic.code
       d.Openivm_sql.Diagnostic.message
   | stmt -> `Result (Database.exec_stmt ext.ext_db stmt)
+
+let exec_ext (ext : extension) (sql : string) =
+  exec_parsed ext ~sql (Openivm_sql.Parser.parse_statement sql)
 
 (** One-shot variant when no extension state is at hand. *)
 let exec ?(flags = Flags.default) (db : Database.t) (sql : string) :

@@ -132,6 +132,12 @@ val exec_ext :
     first; [DROP TABLE v] on a maintained view uninstalls it; everything
     else passes through. *)
 
+val exec_parsed :
+  extension -> sql:string -> Openivm_sql.Ast.stmt ->
+  [ `Result of Database.exec_result | `Installed of view ]
+(** {!exec_ext} on a statement the caller already parsed from [sql]
+    ([sql] itself is read only to install a materialized view). *)
+
 val exec :
   ?flags:Flags.t -> Database.t -> string ->
   [ `Result of Database.exec_result | `Installed of view ]

@@ -65,7 +65,7 @@ let save (db : Database.t) ~(dir : string) : int =
     names;
   List.length names
 
-(* --- in-memory table snapshots (transactional apply / rollback) --- *)
+(* --- in-memory table snapshots (undo-log test oracle, bench probe) --- *)
 
 type mem = (string * Row.t list) list
 

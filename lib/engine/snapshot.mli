@@ -14,10 +14,12 @@ val load : dir:string -> Database.t
 
 (** {1 In-memory table snapshots}
 
-    Lightweight capture/restore of a few named tables, used by the HTAP
-    bridge to make a multi-table batch apply all-or-nothing: capture the
-    delta table and replica, apply, and on a mid-batch failure restore
-    both — no partial batch is ever visible. *)
+    Deep-copy capture/restore of a few named tables. No production path
+    uses it: all-or-nothing writes go through the tables' undo log
+    ({!Table.begin_undo}), which costs the rows changed rather than the
+    table. It stays as the test oracle for that log (a rollback must
+    leave exactly what a capture saw) and as a benchmark probe of what
+    the copy would cost. *)
 
 type mem
 

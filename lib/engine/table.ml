@@ -3,7 +3,11 @@
     Rows live in slots of a growable vector; DELETE tombstones a slot so
     indexes (which map encoded keys to slot numbers) stay valid. When more
     than half the slots are dead a compaction rebuilds storage and all
-    indexes. *)
+    indexes.
+
+    An open undo log ({!begin_undo}) records the exact inverse of every
+    mutation at slot granularity, so a failed multi-table write rolls
+    back in time proportional to the rows it changed. *)
 
 type index = {
   index_name : string;
@@ -13,11 +17,27 @@ type index = {
   mutable art : int list Art.t;
 }
 
+(* One undone mutation. Slots are never renumbered while a log is open
+   (compaction is deferred), so a slot number identifies its row for the
+   log's whole lifetime. *)
+type undo_entry =
+  | Pushed of int  (* slot appended *)
+  | Emptied of int * Row.t  (* slot tombstoned; the row it held *)
+  | Overwritten of int * Row.t  (* slot replaced in place; the old row *)
+  | Marked_stale  (* a bulk append set [pk_stale]; it was clear before *)
+  | Truncated of {
+      old_slots : Row.t option Vec.t;
+      old_live : int;
+      old_pk : int Art.t option;
+      old_stale : bool;
+      old_arts : (index * int list Art.t) list;
+    }
+
 type t = {
   name : string;
   schema : Schema.t;
   primary_key : int array;  (** column positions; empty = no PK *)
-  slots : Row.t option Vec.t;
+  mutable slots : Row.t option Vec.t;
   mutable live : int;
   mutable pk_index : int Art.t option;
   mutable pk_stale : bool;
@@ -25,13 +45,17 @@ type t = {
           lags the slots and must be rebuilt (one sorted bulk pass) before
           any PK read — see {!ensure_pk} *)
   mutable secondary : index list;
+  mutable undo : undo_entry list option;  (** newest first; [None] = closed *)
 }
 
 let create ~name ~(schema : Schema.t) ~primary_key =
   let pk_index = if Array.length primary_key = 0 then None else Some (Art.create ()) in
   { name; schema; primary_key;
     slots = Vec.create ~dummy:None ();
-    live = 0; pk_index; pk_stale = false; secondary = [] }
+    live = 0; pk_index; pk_stale = false; secondary = []; undo = None }
+
+let note_undo t entry =
+  match t.undo with None -> () | Some l -> t.undo <- Some (entry :: l)
 
 let arity t = Schema.arity t.schema
 let row_count t = t.live
@@ -115,7 +139,12 @@ let find_secondary t name =
 let secondary_on t (positions : int array) =
   List.find_opt (fun ix -> ix.key_positions = positions) t.secondary
 
+let check_no_undo t what =
+  if t.undo <> None then
+    Error.fail "cannot %s on table %S while its undo log is open" what t.name
+
 let create_index t ~index_name ~key_positions ~unique =
+  check_no_undo t "create an index";
   if find_secondary t index_name <> None then
     Error.fail "index %S already exists" index_name;
   let ix = { index_name; key_positions; unique; art = Art.create () } in
@@ -126,6 +155,7 @@ let create_index t ~index_name ~key_positions ~unique =
   ix
 
 let drop_index t ~index_name =
+  check_no_undo t "drop an index";
   if find_secondary t index_name = None then
     Error.fail "index %S does not exist" index_name;
   t.secondary <-
@@ -134,6 +164,7 @@ let drop_index t ~index_name =
 (* --- compaction --- *)
 
 let compact t =
+  check_no_undo t "compact";
   let rows = to_rows t in
   Vec.clear t.slots;
   t.pk_stale <- false;
@@ -150,9 +181,10 @@ let compact t =
        List.iter (fun ix -> index_add_row ix slot row) t.secondary)
     rows
 
+(* Deferred while an undo log is open: compaction renumbers slots. *)
 let maybe_compact t =
   let total = Vec.length t.slots in
-  if total > 64 && t.live * 2 < total then compact t
+  if t.undo = None && total > 64 && t.live * 2 < total then compact t
 
 (* --- mutations --- *)
 
@@ -176,6 +208,7 @@ let insert t (row : Row.t) : unit =
       Some (pk, key)
   in
   let slot = Vec.push t.slots (Some row) in
+  note_undo t (Pushed slot);
   t.live <- t.live + 1;
   (match pk_entry with
    | Some (pk, key) -> Art.insert pk key slot
@@ -200,12 +233,14 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
   match t.pk_index with
   | Some _ when t.live = 0 && rows <> [] ->
     ensure_pk t;
+    note_undo t Marked_stale;
     t.pk_stale <- true;
     if distinct_keys then
       List.iter
         (fun row ->
            check_arity t row;
            let slot = Vec.push t.slots (Some row) in
+           note_undo t (Pushed slot);
            t.live <- t.live + 1;
            List.iter (fun ix -> index_add_row ix slot row) t.secondary)
         rows
@@ -222,6 +257,7 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
              Error.fail "duplicate key in table %S: %s" t.name
                (Row.to_string row);
            let slot = Vec.push t.slots (Some row) in
+           note_undo t (Pushed slot);
            t.live <- t.live + 1;
            List.iter (fun ix -> index_add_row ix slot row) t.secondary)
         rows
@@ -247,6 +283,7 @@ let upsert t (row : Row.t) : upsert_outcome =
         | Some old ->
           List.iter (fun ix -> index_remove_row ix slot old) t.secondary;
           Vec.set t.slots slot (Some row);
+          note_undo t (Overwritten (slot, old));
           List.iter (fun ix -> index_add_row ix slot row) t.secondary;
           Replaced old
         | None ->
@@ -274,6 +311,7 @@ let delete_slot t slot : Row.t option =
   | None -> None
   | Some row ->
     Vec.set t.slots slot None;
+    note_undo t (Emptied (slot, row));
     t.live <- t.live - 1;
     (match t.pk_index with
      | Some pk when not t.pk_stale -> ignore (Art.remove pk (pk_key t row))
@@ -309,9 +347,19 @@ let update_where t (predicate : Row.t -> bool) (transform : Row.t -> Row.t) :
   maybe_compact t;
   List.rev !changed
 
+(* Under an open log the old slot vector and indexes are kept whole in
+   the log entry instead of cleared, so undoing a truncate is O(1). *)
 let truncate t : int =
   let n = t.live in
-  Vec.clear t.slots;
+  (match t.undo with
+   | None -> Vec.clear t.slots
+   | Some _ ->
+     note_undo t
+       (Truncated
+          { old_slots = t.slots; old_live = t.live; old_pk = t.pk_index;
+            old_stale = t.pk_stale;
+            old_arts = List.map (fun ix -> (ix, ix.art)) t.secondary });
+     t.slots <- Vec.create ~dummy:None ());
   t.pk_stale <- false;
   (match t.pk_index with Some _ -> t.pk_index <- Some (Art.create ()) | None -> ());
   List.iter (fun ix -> ix.art <- Art.create ()) t.secondary;
@@ -349,3 +397,72 @@ let pk_lookup t (key : string) : Row.t option =
     (match Art.find pk key with
      | None -> None
      | Some slot -> Vec.get t.slots slot)
+
+(* --- undo log --- *)
+
+let begin_undo tables =
+  List.iter
+    (fun t ->
+       if t.undo <> None then
+         Error.fail "undo log on table %S is already open" t.name)
+    tables;
+  List.iter (fun t -> t.undo <- Some []) tables
+
+let close_undo t =
+  t.undo <- None;
+  maybe_compact t
+
+let commit_undo tables = List.iter close_undo tables
+
+(* PK entries are skipped while [pk_stale]: the index is rebuilt from the
+   slots on the next PK read anyway. *)
+let index_slot t slot row =
+  (match t.pk_index with
+   | Some pk when not t.pk_stale -> Art.insert pk (pk_key t row) slot
+   | _ -> ());
+  List.iter (fun ix -> index_add_row ix slot row) t.secondary
+
+let unindex_slot t slot row =
+  (match t.pk_index with
+   | Some pk when not t.pk_stale -> ignore (Art.remove pk (pk_key t row))
+   | _ -> ());
+  List.iter (fun ix -> index_remove_row ix slot row) t.secondary
+
+(* Replayed newest first, each entry meets exactly the state its mutation
+   left behind: a [Pushed] slot is the vector's last one again, and a
+   [Truncated] table is empty. *)
+let undo_one t = function
+  | Pushed slot ->
+    (match Vec.get t.slots slot with
+     | Some row ->
+       unindex_slot t slot row;
+       t.live <- t.live - 1
+     | None -> ());
+    Vec.truncate t.slots slot
+  | Emptied (slot, row) ->
+    Vec.set t.slots slot (Some row);
+    t.live <- t.live + 1;
+    index_slot t slot row
+  | Overwritten (slot, old) ->
+    (match Vec.get t.slots slot with
+     | Some fresh ->
+       List.iter (fun ix -> index_remove_row ix slot fresh) t.secondary
+     | None -> ());
+    Vec.set t.slots slot (Some old);
+    List.iter (fun ix -> index_add_row ix slot old) t.secondary
+  | Marked_stale -> t.pk_stale <- false
+  | Truncated s ->
+    t.slots <- s.old_slots;
+    t.live <- s.old_live;
+    t.pk_index <- s.old_pk;
+    t.pk_stale <- s.old_stale;
+    List.iter (fun (ix, art) -> ix.art <- art) s.old_arts
+
+let rollback_undo tables =
+  List.fold_left
+    (fun replayed t ->
+       let entries = Option.value t.undo ~default:[] in
+       List.iter (undo_one t) entries;
+       close_undo t;
+       replayed + List.length entries)
+    0 tables

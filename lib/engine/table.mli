@@ -10,17 +10,21 @@ type index = {
   mutable art : int list Art.t;  (** encoded key -> live slots *)
 }
 
+type undo_entry
+
 type t = {
   name : string;
   schema : Schema.t;
   primary_key : int array;  (** column positions; empty = no PK *)
-  slots : Row.t option Vec.t;
+  mutable slots : Row.t option Vec.t;
   mutable live : int;
   mutable pk_index : int Art.t option;
   mutable pk_stale : bool;
       (** set by bulk appends ({!insert_many}); [pk_index] lags the slots
           and is rebuilt in one sorted bulk pass before the next PK read *)
   mutable secondary : index list;
+  mutable undo : undo_entry list option;
+      (** the open undo log, newest entry first; see {!begin_undo} *)
 }
 
 val create : name:string -> schema:Schema.t -> primary_key:int array -> t
@@ -42,6 +46,8 @@ val create_index :
 val drop_index : t -> index_name:string -> unit
 
 val compact : t -> unit
+(** Raises {!Error.Sql_error} while an undo log is open (compaction
+    renumbers slots); automatic compaction is deferred instead. *)
 
 val insert : t -> Row.t -> unit
 (** Raises {!Error.Sql_error} on arity mismatch or PK violation. *)
@@ -82,3 +88,29 @@ val index_lookup : t -> index -> string -> Row.t list
 val index_slots : t -> index -> string -> int list
 val pk_slot : t -> string -> int option
 val pk_lookup : t -> string -> Row.t option
+
+(** {1 Undo log}
+
+    All-or-nothing writes across several tables without copying them.
+    While a table's log is open every mutation above records its exact
+    inverse at slot granularity: an append its slot, a delete the slot
+    and its row, an in-place replace the old row, a truncate the whole
+    old slot vector and indexes. Automatic compaction (which renumbers
+    slots) is deferred until the log closes. With no log open the only
+    cost is one [None] check per mutation. Index DDL is refused while a
+    log is open. *)
+
+val begin_undo : t list -> unit
+(** Open a log on each table. Raises {!Error.Sql_error} if one is
+    already open. *)
+
+val commit_undo : t list -> unit
+(** Close the logs, keeping every change, and run any deferred
+    compaction. *)
+
+val rollback_undo : t list -> int
+(** Undo every logged change newest first, fixing the primary-key and
+    secondary index entries of the touched slots only, close the logs
+    and run any deferred compaction. Returns the number of log entries
+    replayed: the cost is proportional to the rows changed, not to the
+    tables' size. *)

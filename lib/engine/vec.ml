@@ -40,9 +40,12 @@ let push t v =
   t.len <- t.len + 1;
   t.len - 1
 
-let clear t =
-  Array.fill t.data 0 t.len t.dummy;
-  t.len <- 0
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Vec.truncate: length out of bounds";
+  Array.fill t.data n (t.len - n) t.dummy;
+  t.len <- n
+
+let clear t = truncate t 0
 
 let iter f t =
   for i = 0 to t.len - 1 do

@@ -15,6 +15,9 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> int
 (** Returns the new element's slot. *)
 
+val truncate : 'a t -> int -> unit
+(** [truncate t n] drops every element from slot [n] on. *)
+
 val clear : 'a t -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit

@@ -602,7 +602,7 @@ let vaggregate_ints schema
     | None -> None
     | Some batches ->
       let cap =
-        let c = ref 4096 in
+        let c = ref 16 in
         while !c < 2 * nin do c := !c * 2 done;
         !c
       in
@@ -671,9 +671,13 @@ let vaggregate_ints schema
 
 (* --- scans --- *)
 
+(* Buffers and hash tables here are sized to their input: a refresh that
+   folds a handful of delta rows must not allocate batch-sized arrays,
+   which bypass the minor heap. *)
 let scan_batches (tbl : Table.t) : Batch.t list =
   let width = Table.arity tbl in
-  let buf = Array.make Batch.batch_size [||] in
+  let cap = max 1 (min Batch.batch_size (Table.row_count tbl)) in
+  let buf = Array.make cap [||] in
   let n = ref 0 in
   let out = ref [] in
   let flush () =
@@ -686,7 +690,7 @@ let scan_batches (tbl : Table.t) : Batch.t list =
     (fun row ->
        buf.(!n) <- row;
        incr n;
-       if !n = Batch.batch_size then flush ())
+       if !n = cap then flush ())
     tbl;
   flush ();
   List.rev !out
@@ -1517,8 +1521,8 @@ and vaggregate catalog schema input group_exprs aggs : vres =
       Vec.create ~capacity:(max 8 nin) ~dummy:[||] ()
     in
     let cap =
-      let target = min 262144 (max 4096 (2 * nin)) in
-      let c = ref 4096 in
+      let target = min 262144 (max 16 (2 * nin)) in
+      let c = ref 16 in
       while !c < target do
         c := !c * 2
       done;

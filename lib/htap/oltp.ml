@@ -113,14 +113,15 @@ let ack t ~(base : string) ~(seq : int) : unit =
   let cap = capture_of t base in
   match cap.inflight with
   | Some (s, rows) when s = seq ->
-    let delta_tbl = delta_table_of t base in
+    (* the batch is the oldest [n] live rows, in slot order; deleting them
+       through [delete_where] also compacts the acknowledged tombstones,
+       which every later [begin_batch] would otherwise scan *)
     let n = List.length rows in
-    let slots = ref [] in
     let k = ref 0 in
-    Table.iter_slots
-      (fun slot _ -> if !k < n then begin slots := slot :: !slots; incr k end)
-      delta_tbl;
-    List.iter (fun slot -> ignore (Table.delete_slot delta_tbl slot)) !slots;
+    ignore
+      (Table.delete_where (delta_table_of t base) (fun _ ->
+           incr k;
+           !k <= n));
     cap.inflight <- None
   | _ -> ()
 

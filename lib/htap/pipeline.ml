@@ -12,8 +12,8 @@
     in an outbox until acknowledged ({!Oltp.begin_batch}/{!Oltp.ack}), the
     OLAP side records per-source watermarks in
     [_openivm_bridge_watermarks] so duplicated or replayed batches are
-    no-ops, each batch lands in the delta table and replica all-or-nothing
-    (in-memory snapshot rollback on a mid-apply crash), and dropped
+    no-ops, each batch lands in the delta table, replica and watermark
+    all-or-nothing (an undo log rolls back a failed apply), and dropped
     batches are retried with exponential backoff. {!recover} replays
     unacknowledged traffic after a simulated OLAP crash, falling back to a
     full resync from the base tables. *)
@@ -192,24 +192,30 @@ let apply_to_replica t ~(base : string) (delta_row : Row.t) : unit =
 
 (** Land a verified, in-order batch: every row into the OLAP delta table
     (and replica), then advance the watermark and acknowledge to the OLTP
-    outbox. All-or-nothing — an injected mid-apply crash restores the
-    snapshot of both tables, leaves the watermark untouched and marks the
-    OLAP side down; the batch stays in the outbox for {!recover}. *)
+    outbox. All-or-nothing — an undo log over the delta table, replica
+    and watermark ledger rolls back any failure before the watermark
+    advanced. An injected mid-apply crash then marks the OLAP side down
+    (the batch stays in the outbox for {!recover}); any other error, such
+    as a strict-replica divergence, is re-raised. *)
 let apply_batch t ~(source : string) ~(seq : int) (rows : Row.t list) : unit =
   let catalog = Database.catalog t.olap in
-  let delta_name =
-    Openivm.Compiler.delta_table t.view.Openivm.Runner.compiled source
+  let delta_tbl =
+    Catalog.find_table catalog
+      (Openivm.Compiler.delta_table t.view.Openivm.Runner.compiled source)
   in
-  let delta_tbl = Catalog.find_table catalog delta_name in
-  let guarded = delta_name :: (if t.needs_replica then [ source ] else []) in
-  let memo = Snapshot.capture t.olap ~tables:guarded in
+  let guarded =
+    delta_tbl
+    :: Catalog.find_table catalog Openivm.Metadata.watermarks_table
+    :: (if t.needs_replica then [ Catalog.find_table catalog source ] else [])
+  in
   let n = List.length rows in
   let crash_at =
     if Fault.roll (Bridge.faults t.bridge) Fault.Crash then
       Some (Fault.draw (Bridge.faults t.bridge) (n + 1))
     else None
   in
-  try
+  Table.begin_undo guarded;
+  match
     List.iteri
       (fun i row ->
          if crash_at = Some i then raise Olap_crash;
@@ -217,7 +223,17 @@ let apply_batch t ~(source : string) ~(seq : int) (rows : Row.t list) : unit =
          if t.needs_replica then apply_to_replica t ~base:source row)
       rows;
     if crash_at = Some n then raise Olap_crash;
-    set_watermark t source seq;
+    set_watermark t source seq
+  with
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Trigger.clear_deferred (Database.triggers t.olap);
+    ignore (Table.rollback_undo guarded);
+    (match e with Olap_crash -> () | e -> Printexc.raise_with_backtrace e bt);
+    t.crashed <- true;
+    t.stats.crashes <- t.stats.crashes + 1
+  | () ->
+    Table.commit_undo guarded;
     t.view.Openivm.Runner.pending_deltas <-
       t.view.Openivm.Runner.pending_deltas + n;
     (* durability hook between watermark and ack: if journaling dies here
@@ -231,10 +247,6 @@ let apply_batch t ~(source : string) ~(seq : int) (rows : Row.t list) : unit =
     t.stats.rows_applied <- t.stats.rows_applied + n;
     Metrics.incr m_batches_applied;
     Metrics.add m_rows_applied n
-  with Olap_crash ->
-    Snapshot.restore t.olap memo;
-    t.crashed <- true;
-    t.stats.crashes <- t.stats.crashes + 1
 
 (** One batch arriving at the OLAP side. Corrupted batches are discarded
     (the sender retries); batches at or below the watermark are duplicates

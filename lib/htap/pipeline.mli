@@ -8,7 +8,7 @@
     Delivery is exactly-once end to end: OLTP-side acknowledge-then-
     truncate outbox, per-source watermarks in [_openivm_bridge_watermarks]
     making duplicate/replayed batches no-ops, all-or-nothing batch apply
-    with snapshot rollback, bounded retry with exponential backoff, and a
+    with undo-log rollback, bounded retry with exponential backoff, and a
     {!recover} ladder (drain → replay → full resync) after a simulated
     OLAP crash. *)
 

@@ -14,7 +14,7 @@
                                     v
                      watermark check (_openivm_bridge_watermarks):
                        seq <= wm  -> duplicate, drop + re-ack
-                       seq  = wm+1 -> apply under Snapshot (all-or-nothing)
+                       seq  = wm+1 -> apply under an undo log (all-or-nothing)
                                     |        then advance wm, Oltp.ack
                                     v        (ack empties the outbox)
                               OLAP delta_T tables --+--> replicas (joins/minmax)
@@ -40,8 +40,8 @@
     exactly-once regardless: batches carry a per-source sequence number
     and checksum; the outbox keeps rows until acknowledged, so resending
     is always possible; the per-source watermark makes re-applying always
-    safe. A mid-apply crash rolls the batch back via an in-memory
-    snapshot, leaving the pipeline [crashed] until [Pipeline.recover]
+    safe. A mid-apply crash rolls the batch back through the tables' undo
+    log, leaving the pipeline [crashed] until [Pipeline.recover]
     climbs the ladder: replay unacknowledged outbox batches over a
     fault-suppressed link, verify the view against a full recompute, and
     fall back to a full resync from the base tables if verification

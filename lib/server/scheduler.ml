@@ -3,10 +3,10 @@
 
     - [t.lock] guards everything: the queue, the quota, the database and
       the views. Ticks, reads and submissions all run under it.
-    - a unit's snapshot captures the touched base tables {e and} their
-      views' delta tables as they stand when the unit starts — including
-      deltas queued by earlier units of the same tick — so restoring on
-      failure rolls back exactly this unit.
+    - a unit opens an undo log on the touched base tables {e and} their
+      views' delta tables, so a failure undoes exactly this unit's rows —
+      deltas queued by earlier units of the same tick are not in the log
+      and survive the rollback.
     - [refreshed_at] maps a view to the last tick whose deltas it has
       folded; the read path refreshes only views behind the current tick
       counter, which bounds refresh work to once per view per tick. *)
@@ -29,7 +29,7 @@ type state = Pending | Done of outcome
 type ticket = {
   u_session : int;
   u_tenant : string;
-  u_stmts : string list;
+  u_stmts : (string * Ast.stmt) list;
   mutable u_state : state;
 }
 
@@ -75,6 +75,10 @@ let m_multi_ticks =
 let m_rollbacks =
   Metrics.counter ~help:"Units rolled back all-or-nothing"
     "openivm_server_rollbacks_total"
+
+let m_rollback_rows =
+  Metrics.counter ~help:"Undo log entries replayed by unit rollbacks"
+    "openivm_server_rollback_rows_total"
 
 let m_overloaded =
   Metrics.counter ~help:"Submissions bounced by admission control"
@@ -190,63 +194,59 @@ let read_locked t q =
   refresh_for_read t q;
   Database.run_select t.ext.Runner.ext_db q
 
-let apply_stmt t sql =
-  match Openivm_sql.Parser.parse_statement sql with
+let apply_stmt t (sql, stmt) =
+  match stmt with
   | Ast.Create_view { materialized = true; _ } -> `Installed (install_view t sql)
   | Ast.Select_stmt q -> `Result (Database.Rows (read_locked t q))
   | Ast.Drop { name; _ } when Runner.find_view t.ext name <> None ->
-      let r = Runner.exec_ext t.ext sql in
+      let r = Runner.exec_parsed t.ext ~sql stmt in
       forget_view t name;
       r
   | _ ->
-      (* exec_ext keeps the guard rails (DML on a view's backing table is
-         IVM203) without re-intercepting the cases handled above. *)
-      Runner.exec_ext t.ext sql
+      (* exec_parsed keeps the guard rails (DML on a view's backing table
+         is IVM203) without re-intercepting the cases handled above. *)
+      Runner.exec_parsed t.ext ~sql stmt
 
 (* ------------------------------------------------------------------ *)
 (* Units and rollback                                                  *)
 
+(* The tables a unit's DML writes, plus the delta tables their capture
+   hooks write into (those roll back with the base rows, or a failed unit
+   would leave ghost deltas), and the views owning those delta tables. *)
 let unit_touched_tables t stmts =
-  let tables = Hashtbl.create 8 in
-  let note name = Hashtbl.replace tables name () in
+  let names = Hashtbl.create 8 in
   List.iter
-    (fun sql ->
-      match (try Some (Openivm_sql.Parser.parse_statement sql) with _ -> None) with
-      | Some
-          ( Ast.Insert { table; _ } | Ast.Update { table; _ }
-          | Ast.Delete { table; _ } | Ast.Truncate table ) ->
-          note table
+    (fun (_, stmt) ->
+      match stmt with
+      | Ast.Insert { table; _ } | Ast.Update { table; _ }
+      | Ast.Delete { table; _ } | Ast.Truncate table ->
+          Hashtbl.replace names table ()
       | _ -> ())
     stmts;
-  let db = t.ext.Runner.ext_db in
+  let catalog = t.ext.Runner.ext_db.Database.catalog in
   let bases =
     Hashtbl.fold
       (fun name () acc ->
-        if Catalog.find_table_opt db.Database.catalog name <> None then
-          name :: acc
-        else acc)
-      tables []
+        match Catalog.find_table_opt catalog name with
+        | Some tbl -> (name, tbl) :: acc
+        | None -> acc)
+      names []
   in
-  (* Capture hooks write into every dependent view's delta table: those
-     roll back with the base rows, or a failed unit would leave ghost
-     deltas (or eat captured ones on restore). *)
   let deltas =
     List.concat_map
       (fun v ->
         let c = v.Runner.compiled in
         List.filter_map
-          (fun b ->
-            if List.mem b (Compiler.base_tables c) then begin
-              let d = Compiler.delta_table c b in
-              if Catalog.find_table_opt db.Database.catalog d <> None then
-                Some (d, v)
-              else None
-            end
+          (fun (b, _) ->
+            if List.mem b (Compiler.base_tables c) then
+              Option.map
+                (fun d -> (d, v))
+                (Catalog.find_table_opt catalog (Compiler.delta_table c b))
             else None)
           bases)
       t.ext.Runner.ext_views
   in
-  (bases, deltas)
+  (List.map snd bases @ List.map fst deltas, List.map snd deltas)
 
 let apply_unit t u =
   Span.with_span "server.apply_unit"
@@ -257,19 +257,20 @@ let apply_unit t u =
         ("statements", Span.Int (List.length u.u_stmts));
       ]
     (fun _ ->
-      let db = t.ext.Runner.ext_db in
-      let bases, deltas = unit_touched_tables t u.u_stmts in
-      let capture_tables = bases @ List.map fst deltas in
-      let memo =
-        if capture_tables = [] then None
-        else Some (Snapshot.capture db ~tables:capture_tables)
-      in
+      let tables, views = unit_touched_tables t u.u_stmts in
       let pending_saved =
-        List.map (fun (_, v) -> (v, v.Runner.pending_deltas)) deltas
+        List.map (fun v -> (v, v.Runner.pending_deltas)) views
       in
+      Table.begin_undo tables;
       let rollback () =
-        (match memo with None -> () | Some m -> Snapshot.restore db m);
-        List.iter (fun (v, n) -> v.Runner.pending_deltas <- n) pending_saved;
+        Span.with_span "server.rollback" (fun sp ->
+            Trigger.clear_deferred (Database.triggers t.ext.Runner.ext_db);
+            let rows = Table.rollback_undo tables in
+            List.iter
+              (fun (v, n) -> v.Runner.pending_deltas <- n)
+              pending_saved;
+            Metrics.add m_rollback_rows rows;
+            Span.set_int sp "rows" rows);
         t.stat_units_failed <- t.stat_units_failed + 1;
         Metrics.incr m_rollbacks
       in
@@ -277,26 +278,34 @@ let apply_unit t u =
         rollback ();
         Failed { code; message }
       in
-      try
-        let affected = ref 0 and installed = ref [] in
+      let affected = ref 0 and installed = ref [] in
+      match
         List.iter
-          (fun sql ->
-            match apply_stmt t sql with
+          (fun stmt ->
+            match apply_stmt t stmt with
             | `Result (Database.Affected n) -> affected := !affected + n
             | `Result _ -> ()
             | `Installed v -> installed := Runner.view_name v :: !installed)
-          u.u_stmts;
-        if t.record_journal then
-          t.journal_rev <- List.rev_append u.u_stmts t.journal_rev;
-        t.stat_units_applied <- t.stat_units_applied + 1;
-        Applied { affected = !affected; installed = List.rev !installed }
+          u.u_stmts
       with
-      | Error.Sql_error msg -> fail "SQL" msg
-      | Openivm_sql.Parser.Error (msg, pos) ->
+      | () ->
+          Table.commit_undo tables;
+          if t.record_journal then
+            t.journal_rev <-
+              List.rev_append (List.map fst u.u_stmts) t.journal_rev;
+          t.stat_units_applied <- t.stat_units_applied + 1;
+          Applied { affected = !affected; installed = List.rev !installed }
+      | exception Error.Sql_error msg -> fail "SQL" msg
+      | exception Openivm_sql.Parser.Error (msg, pos) ->
           fail "PARSE" (Printf.sprintf "%s (at %d)" msg pos)
-      | Openivm_sql.Lexer.Error (msg, pos) ->
+      | exception Openivm_sql.Lexer.Error (msg, pos) ->
           fail "LEX" (Printf.sprintf "%s (at %d)" msg pos)
-      | Compiler.Unsupported_view msg -> fail "VIEW" msg)
+      | exception Compiler.Unsupported_view msg -> fail "VIEW" msg
+      | exception e ->
+          (* never leave a log open: undo, then let the error surface *)
+          let bt = Printexc.get_raw_backtrace () in
+          rollback ();
+          Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
 (* Ticks                                                               *)
@@ -325,13 +334,12 @@ let tick_locked t =
       ~attrs:[ ("tick", Span.Int (t.tick_count + 1)) ]
       (fun sp ->
         let t0 = Clock.now () in
-        let batch = ref [] in
-        while
-          (not (Queue.is_empty t.queue)) && List.length !batch < max_batch
-        do
-          batch := Queue.pop t.queue :: !batch
+        let batch = ref [] and n = ref 0 in
+        while (not (Queue.is_empty t.queue)) && !n < max_batch do
+          batch := Queue.pop t.queue :: !batch;
+          incr n
         done;
-        let batch = List.rev !batch in
+        let batch = List.rev !batch and n = !n in
         let sessions = Hashtbl.create 8 in
         List.iter
           (fun u ->
@@ -347,7 +355,6 @@ let tick_locked t =
            read path will not redo it. *)
         t.tick_count <- t.tick_count + 1;
         refresh_eager_locked t;
-        let n = List.length batch in
         t.stat_max_tick_units <- max t.stat_max_tick_units n;
         if Hashtbl.length sessions >= 2 then begin
           t.stat_multi_ticks <- t.stat_multi_ticks + 1;

@@ -11,11 +11,12 @@
       under one internal mutex — a reader can never observe a
       half-applied tick, and a tick can never interleave with another;
     - a {e unit} (one DML statement, or one committed transaction's
-      statement list) applies all-or-nothing: the touched base tables
-      and their delta tables are captured through {!Openivm_engine.Snapshot}
-      before the unit runs and restored if any statement fails, so a
-      failed unit never eats deltas queued by earlier units of the same
-      tick (they are part of the captured image and survive the restore);
+      statement list) applies all-or-nothing: an undo log
+      ({!Openivm_engine.Table.begin_undo}) is opened on the touched base
+      tables and their delta tables before the unit runs and replayed if
+      any statement fails. The rollback costs time proportional to the
+      rows the unit changed, and never eats deltas queued by earlier
+      units of the same tick (they predate the log);
     - views requested [Eager] refresh once at the end of the tick; lazy
       views refresh on the first read after a tick, and at most once per
       tick even under N concurrent readers (the tick counter gates the
@@ -56,8 +57,10 @@ type submit_result =
   | Rejected of string  (** admission control refused: Overloaded reply *)
 
 val submit :
-  t -> session_id:int -> tenant:string -> string list -> submit_result
-(** Enqueue one unit. Does not block and does not run a tick. *)
+  t -> session_id:int -> tenant:string ->
+  (string * Openivm_sql.Ast.stmt) list -> submit_result
+(** Enqueue one unit: each statement's SQL with its parse (the SQL is
+    kept for the journal). Does not block and does not run a tick. *)
 
 val await : t -> ticket -> outcome
 (** Block until the unit's tick has applied it. When no background
@@ -66,7 +69,8 @@ val await : t -> ticket -> outcome
 
 val exec_unit :
   t -> session_id:int -> tenant:string ->
-  string list -> [ `Outcome of outcome | `Overloaded of string ]
+  (string * Openivm_sql.Ast.stmt) list ->
+  [ `Outcome of outcome | `Overloaded of string ]
 (** [submit] + [await]. *)
 
 (** {1 Reads} *)

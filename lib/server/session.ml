@@ -4,7 +4,8 @@ type t = {
   sched : Scheduler.t;
   sid : int;
   s_tenant : string;
-  mutable txn : string list option;  (* buffered statements, reversed *)
+  mutable txn : (string * Ast.stmt) list option;
+      (* buffered statements with their parses, reversed *)
   mutable closed : bool;
 }
 
@@ -99,12 +100,12 @@ let exec t sql =
         | Ast.Insert _ | Ast.Update _ | Ast.Delete _ | Ast.Truncate _ -> (
             match t.txn with
             | Some rev ->
-                t.txn <- Some (sql :: rev);
+                t.txn <- Some ((sql, stmt) :: rev);
                 Queued (List.length rev + 1)
-            | None -> submit_unit t [ sql ])
+            | None -> submit_unit t [ (sql, stmt) ])
         | _ -> (
-            (* DDL: single-statement units only, never buffered — snapshot
-               rollback cannot undo DDL. *)
+            (* DDL: single-statement units only, never buffered — the undo
+               log cannot undo DDL. *)
             match t.txn with
             | Some _ ->
                 Failed
@@ -112,4 +113,4 @@ let exec t sql =
                     code = "TXN";
                     message = "DDL is not allowed inside a transaction";
                   }
-            | None -> submit_unit t [ sql ]))
+            | None -> submit_unit t [ (sql, stmt) ]))

@@ -8,9 +8,12 @@
       waits for its tick;
     - [BEGIN] opens a buffer; DML inside it is queued client-side and
       [COMMIT] submits the whole buffer as one all-or-nothing unit
-      (rolled back via snapshot capture/restore if any statement fails);
+      (rolled back through the tables' undo log if any statement fails);
     - DDL (CREATE/DROP) is refused inside a transaction — units mix
-      snapshot-undoable DML only, so rollback is always exact. *)
+      undoable DML only, so rollback is always exact.
+
+    Each statement is parsed once, here; the scheduler receives the
+    parse along with the SQL. *)
 
 type t
 

@@ -733,23 +733,39 @@ let parse_statement_positioned (src : string) : Ast.stmt * spans =
 let parse_statement (src : string) : Ast.stmt =
   fst (parse_statement_positioned src)
 
-let parse_script_positioned (src : string) : Ast.stmt list * spans =
-  let st = of_string src in
-  let rec go acc =
-    if peek st = Token.Eof then List.rev acc
-    else if accept st Token.Semicolon then go acc
+(* Hand each statement of a script to [f] as soon as it is parsed. *)
+let each_statement st (f : Ast.stmt -> unit) : unit =
+  let rec go () =
+    if peek st = Token.Eof then ()
+    else if accept st Token.Semicolon then go ()
     else begin
       let s = statement st in
       if not (accept st Token.Semicolon) && peek st <> Token.Eof then
         fail st "expected ; between statements";
-      go (s :: acc)
+      f s;
+      go ()
     end
   in
-  let stmts = go [] in
-  (stmts, snapshot_spans st)
+  go ()
+
+let parse_script_positioned (src : string) : Ast.stmt list * spans =
+  let st = of_string src in
+  let acc = ref [] in
+  each_statement st (fun s -> acc := s :: !acc);
+  (List.rev !acc, snapshot_spans st)
 
 let parse_script (src : string) : Ast.stmt list =
   fst (parse_script_positioned src)
+
+let iter_script (f : Ast.stmt -> unit) (src : string) : unit =
+  let st = of_string src in
+  each_statement st (fun s ->
+      (* nobody reads these spans: drop them with the statement *)
+      st.s_exprs <- [];
+      st.s_froms <- [];
+      st.s_selects <- [];
+      st.s_stmts <- [];
+      f s)
 
 let parse_expression_positioned (src : string) : Ast.expr * spans =
   let st = of_string src in

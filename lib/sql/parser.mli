@@ -39,6 +39,11 @@ val parse_script : string -> Ast.stmt list
 val parse_script_positioned : string -> Ast.stmt list * spans
 (** All statements share one [spans] table; offsets are script-global. *)
 
+val iter_script : (Ast.stmt -> unit) -> string -> unit
+(** Parse a script one statement at a time, handing each to [f] before
+    parsing the next, so a bulk-load script never holds its whole AST.
+    Statements before a parse error have already run when it raises. *)
+
 val parse_expression : string -> Ast.expr
 (** Parse a scalar expression (used by tests and tools). *)
 

@@ -202,7 +202,7 @@ let run_strategy ~strategy ~seed =
   let submit s sql =
     match
       Scheduler.submit sched ~session_id:(Session.id s) ~tenant:(Session.tenant s)
-        [ sql ]
+        [ (sql, Openivm_sql.Parser.parse_statement sql) ]
     with
     | Scheduler.Queued u -> u
     | Scheduler.Rejected r ->

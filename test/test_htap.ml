@@ -373,10 +373,30 @@ let suite =
         Alcotest.(check int) "miss counted" 1
           (Pipeline.stats p).Pipeline.replica_misses;
         let p = make true in
+        (* one batch: an insert that lands, then the diverged deletion *)
+        ignore (Pipeline.exec_oltp p "INSERT INTO sales VALUES (2, 20)");
         ignore (Pipeline.exec_oltp p "DELETE FROM sales WHERE amount = 10");
+        let olap = Pipeline.olap p in
+        let delta =
+          Openivm.Compiler.delta_table
+            (Pipeline.view p).Openivm.Runner.compiled "sales"
+        in
+        let state () =
+          ( Table.row_count (Catalog.find_table (Database.catalog olap) delta),
+            Util.sorted_rows olap "SELECT * FROM sales",
+            Util.sorted_rows olap
+              (Openivm.Metadata.watermark_query ~source:"sales") )
+        in
+        let before = state () in
         (match Pipeline.sync p with
          | _ -> Alcotest.fail "strict replica must raise on divergence"
-         | exception Error.Sql_error _ -> ()));
+         | exception Error.Sql_error _ -> ());
+        let rows, replica, wm = state () in
+        let rows0, replica0, wm0 = before in
+        Alcotest.(check int) "delta table as before the batch" rows0 rows;
+        Alcotest.(check (list string)) "replica as before the batch" replica0
+          replica;
+        Alcotest.(check (list string)) "watermark as before the batch" wm0 wm);
     Util.tc "generated trigger DDL mentions the delta table" (fun () ->
         let db = Util.db_with [ "CREATE TABLE groups(group_index VARCHAR, group_value INTEGER)" ] in
         let c =

@@ -155,7 +155,21 @@ let suite =
         | _ -> Alcotest.fail "explain");
     Util.tc "script parsing" (fun () ->
         let stmts = Parser.parse_script "SELECT 1; SELECT 2;; SELECT 3" in
-        Alcotest.(check int) "three statements" 3 (List.length stmts));
+        Alcotest.(check int) "three statements" 3 (List.length stmts);
+        let seen = ref [] in
+        Parser.iter_script
+          (fun s -> seen := s :: !seen)
+          "SELECT 1; SELECT 2;; SELECT 3";
+        Alcotest.(check bool) "iter_script hands over the same statements"
+          true (List.rev !seen = stmts);
+        (* statements before a parse error have already been handed over *)
+        seen := [];
+        (match
+           Parser.iter_script (fun s -> seen := s :: !seen) "SELECT 1; SELEC 2"
+         with
+         | exception Parser.Error _ -> ()
+         | () -> Alcotest.fail "expected a parse error");
+        Alcotest.(check int) "one statement ran first" 1 (List.length !seen));
     Util.tc "date literal" (fun () ->
         match parse_expr "DATE '2024-06-09'" with
         | Ast.Cast (Ast.Lit (Ast.L_string "2024-06-09"), Ast.T_date) -> ()

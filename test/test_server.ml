@@ -15,6 +15,9 @@ let mk_ext ?(strategy = Openivm.Flags.Upsert_linear) ?(refresh = Openivm.Flags.L
   let flags = { Openivm.Flags.default with strategy; refresh } in
   Openivm.Runner.load ~flags db
 
+(* a scheduler unit: each statement with its parse *)
+let parsed = List.map (fun sql -> (sql, Openivm_sql.Parser.parse_statement sql))
+
 let groups_ddl = "CREATE TABLE g(k VARCHAR, v INTEGER)"
 let totals_ddl =
   "CREATE MATERIALIZED VIEW totals AS SELECT k, SUM(v) AS total, COUNT(*) AS \
@@ -71,11 +74,11 @@ let test_consolidated_tick () =
      units must land in the same tick *)
   let t1 =
     Scheduler.submit sched ~session_id:(Session.id s1) ~tenant:"acme"
-      [ "INSERT INTO g VALUES ('x', 1)" ]
+      (parsed [ "INSERT INTO g VALUES ('x', 1)" ])
   in
   let t2 =
     Scheduler.submit sched ~session_id:(Session.id s2) ~tenant:"globex"
-      [ "INSERT INTO g VALUES ('x', 2)" ]
+      (parsed [ "INSERT INTO g VALUES ('x', 2)" ])
   in
   let ticket = function
     | Scheduler.Queued u -> u
@@ -111,7 +114,7 @@ let test_rollback_preserves_other_sessions_deltas () =
   let rt =
     match
       Scheduler.submit sched ~session_id:(Session.id reader) ~tenant:"r"
-        [ "INSERT INTO g VALUES ('b', 7)" ]
+        (parsed [ "INSERT INTO g VALUES ('b', 7)" ])
     with
     | Scheduler.Queued u -> u
     | Scheduler.Rejected r -> Alcotest.failf "rejected: %s" r
@@ -154,7 +157,7 @@ let test_quota_overloaded () =
   let sched = Scheduler.create ~quota ext in
   let submit tenant =
     Scheduler.submit sched ~session_id:1 ~tenant
-      [ "INSERT INTO g VALUES ('q', 1)" ]
+      (parsed [ "INSERT INTO g VALUES ('q', 1)" ])
   in
   (match submit "acme" with
    | Scheduler.Queued _ -> ()
@@ -415,6 +418,52 @@ let test_server_background_ticker () =
       (match recv ic with Wire.Bye -> () | _ -> Alcotest.fail "bye");
       (try Unix.close fd with Unix.Unix_error _ -> ()))
 
+(* A failed unit's rollback replays its undo log: the cost is the rows
+   the unit changed, however large the table it wrote. *)
+let test_rollback_cost_is_the_unit () =
+  let ext = mk_ext [ groups_ddl ] in
+  let g = Catalog.find_table (Database.catalog ext.Openivm.Runner.ext_db) "g" in
+  Table.insert_many g
+    (List.init 20_000 (fun i ->
+         [| Value.Str (Printf.sprintf "k%d" (i mod 100)); Value.Int i |]));
+  let sched = Scheduler.create ext in
+  let s = Session.create sched ~tenant:"t" in
+  ignore (expect_msg (Session.exec s totals_ddl));
+  let replayed =
+    Openivm_obs.Metrics.counter "openivm_server_rollback_rows_total"
+  in
+  let before = Openivm_obs.Metrics.counter_value replayed in
+  Openivm_obs.Span.reset ();
+  Openivm_obs.Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+        Openivm_obs.Span.set_enabled false;
+        Openivm_obs.Span.reset ())
+    (fun () ->
+       ignore (expect_msg (Session.exec s "BEGIN"));
+       ignore (Session.exec s "INSERT INTO g VALUES ('k1', 1)");
+       ignore (Session.exec s "INSERT INTO g VALUES ('boom')");
+       (match Session.exec s "COMMIT" with
+        | Session.Failed _ -> ()
+        | _ -> Alcotest.fail "COMMIT of a bad transaction must fail");
+       let grown = Openivm_obs.Metrics.counter_value replayed - before in
+       (* the base row and its captured delta row *)
+       Alcotest.(check bool)
+         (Printf.sprintf "rollback replayed %d entries, not the table" grown)
+         true
+         (grown >= 1 && grown <= 4);
+       match Openivm_obs.Span.find "server.rollback" with
+       | None -> Alcotest.fail "no server.rollback span"
+       | Some sp ->
+         Alcotest.(check bool) "span reports the replayed rows" true
+           (List.assoc_opt "rows" sp.Openivm_obs.Span.attrs
+            = Some (Openivm_obs.Span.Int grown)));
+  Alcotest.(check int) "table intact" 20_000 (Table.row_count g);
+  Alcotest.(check (list string)) "view = recompute"
+    (Openivm.Runner.recompute_rows (find_view ext "totals"))
+    (Openivm.Runner.visible_rows (find_view ext "totals"));
+  Session.close s
+
 let suite =
   [ Util.tc "single session roundtrip" test_single_session_roundtrip;
     Util.tc "two sessions consolidate into one tick" test_consolidated_tick;
@@ -429,4 +478,6 @@ let suite =
     Util.tc "wire codec rejects malformed frames" test_wire_errors;
     Util.tc "tcp session end to end" test_server_tcp_session;
     Util.tc "/metrics serves prometheus exposition" test_metrics_endpoint;
-    Util.tc "background ticker drives refresh" test_server_background_ticker ]
+    Util.tc "background ticker drives refresh" test_server_background_ticker;
+    Util.tc "rollback cost is the unit, not the table"
+      test_rollback_cost_is_the_unit ]
