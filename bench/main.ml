@@ -1029,9 +1029,11 @@ let serve_unit_cost_results () : refresh_result list =
          r_converged = converged })
     runs
 
-(* The same-run invariant on [serve_unit_cost]: [Some message] when the
-   largest base's median unit cost exceeds twice the smallest's. *)
-let serve_unit_cost_violation (rows : refresh_result list) : string option =
+(* The same-run scaling invariant of a cost shape ([serve_unit_cost],
+   [rederive_cost]): [Some message] when the largest base's median cost
+   exceeds twice the smallest's. *)
+let scaling_violation ~shape ~what ~sizes (rows : refresh_result list) :
+  string option =
   let cost n =
     List.find_map
       (fun r ->
@@ -1039,16 +1041,91 @@ let serve_unit_cost_violation (rows : refresh_result list) : string option =
          else None)
       rows
   in
-  let small = List.hd serve_unit_sizes
-  and large = List.nth serve_unit_sizes (List.length serve_unit_sizes - 1) in
+  let small = List.hd sizes and large = List.nth sizes (List.length sizes - 1) in
   match (cost small, cost large) with
   | Some c_small, Some c_large when c_large > 2.0 *. c_small ->
     Some
       (Printf.sprintf
-         "serve_unit_cost: a unit over %d base rows costs %s, more than \
-          twice the %s it costs over %d"
-         large (Timer.pp_duration c_large) (Timer.pp_duration c_small) small)
+         "%s: %s over %d base rows costs %s, more than twice the %s it costs \
+          over %d"
+         shape what large (Timer.pp_duration c_large)
+         (Timer.pp_duration c_small) small)
   | _ -> None
+
+let serve_unit_cost_violation =
+  scaling_violation ~shape:"serve_unit_cost" ~what:"a unit"
+    ~sizes:serve_unit_sizes
+
+(* --- rederive cost: a MIN/MAX refresh reads the touched groups ---
+
+   A MIN/MAX view over [groups] with an index on [group_index], at 2k,
+   20k and 200k base rows (20 rows per group). Each timed refresh folds
+   a 2-row delta, sizes interleaved refresh by refresh so host noise
+   lands on all three alike. The rederive joins the affected keys into
+   the base through the index, so its cost follows the touched groups'
+   rows, not the table: the same-run invariant is that the 200k median
+   is at most twice the 2k median. Divergence-gated: after the timed
+   refreshes every view must agree with a row-engine recompute. *)
+
+let rederive_cost_sizes = [ 2_000; 20_000; 200_000 ]
+let rederive_cost_refreshes = 60
+
+let rederive_cost_results () : refresh_result list =
+  let setup rows =
+    let domain = rows / 20 in
+    let db = Database.create () in
+    ignore (Database.exec db Datagen.groups_ddl);
+    Datagen.populate_groups ~domain db (Datagen.create ~seed:42 ()) ~rows;
+    ignore
+      (Database.exec db "CREATE INDEX idx_groups_key ON groups(group_index)");
+    let flags =
+      { Openivm.Flags.default with
+        Openivm.Flags.strategy = Openivm.Flags.Rederive_affected }
+    in
+    let v =
+      Openivm.Runner.install ~flags db
+        "CREATE MATERIALIZED VIEW bench_v AS SELECT group_index, \
+         MIN(group_value) AS lo, MAX(group_value) AS hi FROM groups GROUP BY \
+         group_index"
+    in
+    (rows, domain, db, v, ref [])
+  in
+  let runs = List.map setup rederive_cost_sizes in
+  for u = 0 to rederive_cost_refreshes - 1 do
+    List.iter
+      (fun (_, domain, db, v, times) ->
+         ignore
+           (Database.exec db
+              (Printf.sprintf "INSERT INTO groups VALUES ('%s', %d), ('%s', %d)"
+                 (Datagen.group_key (u * 13 mod domain)) (u - 30)
+                 (Datagen.group_key (u * 7 mod domain)) (1000 + u)));
+         let t0 = Unix.gettimeofday () in
+         Openivm.Runner.refresh v;
+         times := (Unix.gettimeofday () -. t0) :: !times)
+      runs
+  done;
+  List.map
+    (fun (rows, _, db, v, times) ->
+       let saved = db.Database.exec_engine in
+       db.Database.exec_engine <- Exec.Row;
+       let expected =
+         Fun.protect
+           ~finally:(fun () -> db.Database.exec_engine <- saved)
+           (fun () -> Openivm.Runner.recompute_rows v)
+       in
+       { r_shape = "rederive_cost";
+         r_strategy = Printf.sprintf "base_%d" rows;
+         r_engine = Exec.engine_to_string !Exec.default_engine;
+         r_domains = 1;
+         r_median = median !times;
+         r_min = List.fold_left min infinity !times;
+         r_max = List.fold_left max neg_infinity !times;
+         r_converged = Openivm.Runner.visible_rows v = expected })
+    runs
+
+let rederive_cost_violation =
+  scaling_violation ~shape:"rederive_cost" ~what:"a MIN/MAX refresh"
+    ~sizes:rederive_cost_sizes
 
 (* --- the domains axis: domain-parallel refresh scaling ---
 
@@ -1311,7 +1388,20 @@ let refresh_bench () =
        if not r.r_converged then
          diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
     unit_cost;
-  let violation = serve_unit_cost_violation unit_cost in
+  (* the rederive scaling rows: shape "rederive_cost", same layout *)
+  let rederive_cost = rederive_cost_results () in
+  List.iter
+    (fun r ->
+       Printf.printf "rederive_cost/%-12s %s\n" r.r_strategy
+         (Timer.pp_duration r.r_median);
+       if not r.r_converged then
+         diverged := (r.r_shape, r.r_strategy, r.r_engine) :: !diverged)
+    rederive_cost;
+  let violations =
+    List.filter_map Fun.id
+      [ serve_unit_cost_violation unit_cost;
+        rederive_cost_violation rederive_cost ]
+  in
   (* the domains axis: domain-parallel rows for the shardable shapes *)
   let parallel = parallel_results () in
   List.iter
@@ -1323,13 +1413,15 @@ let refresh_bench () =
              r.r_engine )
            :: !diverged)
     parallel;
-  let results = List.rev !results @ recovery @ multi @ unit_cost @ parallel in
+  let results =
+    List.rev !results @ recovery @ multi @ unit_cost @ rederive_cost @ parallel
+  in
   let oc = open_out !refresh_out in
   output_string oc (refresh_json results);
   close_out oc;
   Printf.printf "wrote %s (%d measurements)\n" !refresh_out
     (List.length results);
-  Option.iter (Printf.eprintf "BENCH INVARIANT: %s\n") violation;
+  List.iter (Printf.eprintf "BENCH INVARIANT: %s\n") violations;
   if !diverged <> [] then begin
     List.iter
       (fun (shape, strategy, engine) ->
@@ -1340,7 +1432,7 @@ let refresh_bench () =
       (List.rev !diverged);
     exit 1
   end;
-  if violation <> None then exit 1
+  if violations <> [] then exit 1
 
 (* --- Bechamel micro-benchmarks: one Test.make per experiment table --- *)
 

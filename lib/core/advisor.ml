@@ -12,8 +12,10 @@
     - [Upsert_linear]      ≈ D (fill) + g (signed CTE + probe + upsert)
     - [Union_regroup]      ≈ D + 3·G (every group flows through the stage)
     - [Outer_join_merge]   ≈ D + 2·G + g (one pass over V, then the swap)
-    - [Rederive_affected]  ≈ D + g·(B/G) (re-read the touched groups' rows;
-                             a full scan of B when no index can narrow it)
+    - [Rederive_affected]  ≈ D + g·(B/G) (join the g affected keys into
+                             the base through an index on the group
+                             columns; a full scan of B when none covers
+                             them)
     - [Full_recompute]     ≈ B (+ G to rewrite the view)
 
     MIN/MAX views cannot use [Upsert_linear]; everything else can. *)
@@ -72,22 +74,22 @@ let column_indexed (catalog : Catalog.t) ~(table : string) ~(column : string) :
      | None -> true
      | exception Error.Sql_error _ -> true)
 
-(** True when the rederive recompute can be narrowed by an index instead of
-    scanning the base (single-table views whose group keys are a plain
-    indexed column). *)
+(** True when the rederive's key-set join can probe an index instead of
+    scanning the base: the question the index nested-loop join asks — is
+    there a base table whose primary key or secondary index has exactly
+    the group columns as its column set? *)
 let rederive_indexed (catalog : Catalog.t) (shape : Shape.t) : bool =
-  match shape.Shape.source, Shape.group_cols shape with
-  | Shape.Single base, [ (Openivm_sql.Ast.Column (_, name), _) ] ->
-    Catalog.table_exists catalog base.Shape.table
-    && (match
-          Schema.find_opt
-            (Catalog.find_table catalog base.Shape.table).Table.schema
-            ~qualifier:None ~name
-        with
-        | Some _ -> column_indexed catalog ~table:base.Shape.table ~column:name
-        | None -> false
-        | exception Error.Sql_error _ -> false)
-  | _ -> false
+  let keys = List.map fst (Shape.group_cols shape) in
+  List.exists
+    (fun (b : Shape.table_ref) ->
+       match Catalog.find_table_opt catalog b.Shape.table with
+       | None -> false
+       | Some tbl ->
+         Index_probe.for_columns ~exact:true tbl
+           (Schema.requalify tbl.Table.schema b.Shape.binding)
+           keys
+         <> None)
+    (Shape.base_tables shape)
 
 let advise (catalog : Catalog.t) (shape : Shape.t) ~(expected_delta : int) :
   advice =

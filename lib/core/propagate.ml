@@ -165,6 +165,64 @@ let cross_chain (items : Ast.from_clause list) : Ast.from_clause =
   | first :: rest ->
     List.fold_left (fun acc item -> Ast.Join (acc, Ast.Cross, item, None)) first rest
 
+(* Which of [refs] an expression touches, by binding; an unqualified
+   column resolves against the first table that has it. *)
+let tables_of (refs : Shape.table_ref array) (e : Ast.expr) : int list =
+  let n = Array.length refs in
+  List.filter_map
+    (fun (qualifier, name) ->
+       let rec find i =
+         if i >= n then None
+         else
+           let hit =
+             match qualifier with
+             | Some q -> String.equal refs.(i).Shape.binding q
+             | None ->
+               (match
+                  Openivm_engine.Schema.find_opt refs.(i).Shape.schema
+                    ~qualifier:None ~name
+                with
+                | Some _ -> true
+                | None -> false
+                | exception Openivm_engine.Error.Sql_error _ -> false)
+           in
+           if hit then Some i else find (i + 1)
+       in
+       find 0)
+    (Openivm_sql.Analysis.expr_columns [] e)
+  |> List.sort_uniq compare
+
+(* the join graph: for each conjunct of the ON conditions, the tables it
+   touches *)
+let join_edges refs (condition : Ast.expr option) : int list list =
+  match condition with
+  | None -> []
+  | Some c -> List.map (tables_of refs) (Openivm_engine.Optimizer.conjuncts c)
+
+(* Greedy join order: [placed] first (small inputs: deltas, affected
+   keys), then repeatedly the first of [remaining] that shares an edge
+   with a table already placed, so the SQL executes as index nested
+   loops off the small side instead of cross products. *)
+let greedy_order (edges : int list list) ~placed ~remaining : int list =
+  let connected chosen candidate =
+    List.exists
+      (fun touched ->
+         List.mem candidate touched
+         && List.exists (fun t -> t <> candidate && List.mem t chosen) touched)
+      edges
+  in
+  let rec go order = function
+    | [] -> order
+    | remaining ->
+      let next =
+        match List.find_opt (connected order) remaining with
+        | Some i -> i
+        | None -> List.hd remaining
+      in
+      go (order @ [ next ]) (List.filter (fun i -> i <> next) remaining)
+  in
+  go placed remaining
+
 (** Step 1 over an N-way join: DBSP's inclusion–exclusion expands
     Δ(T1 ⋈ ... ⋈ TN) into 2^N − 1 terms, one per non-empty subset S of
     delta-substituted tables (the others read current state). Because the
@@ -181,69 +239,15 @@ let fill_statements (flags : Flags.t) (shape : Shape.t) : Ast.stmt list =
   | Shape.Joined { tables; condition } ->
     let refs = Array.of_list tables in
     let n = Array.length refs in
-    (* which tables does a join conjunct touch? (by binding; unqualified
-       columns resolve against the unique table that has them) *)
-    let tables_of_conjunct c =
-      List.filter_map
-        (fun (qualifier, name) ->
-           match qualifier with
-           | Some q ->
-             let rec find i =
-               if i >= n then None
-               else if String.equal refs.(i).Shape.binding q then Some i
-               else find (i + 1)
-             in
-             find 0
-           | None ->
-             let rec find i =
-               if i >= n then None
-               else
-                 match
-                   Openivm_engine.Schema.find_opt refs.(i).Shape.schema
-                     ~qualifier:None ~name
-                 with
-                 | Some _ -> Some i
-                 | None -> find (i + 1)
-                 | exception Openivm_engine.Error.Sql_error _ -> find (i + 1)
-             in
-             find 0)
-        (Openivm_sql.Analysis.expr_columns [] c)
-      |> List.sort_uniq compare
-    in
-    let edges =
-      match condition with
-      | None -> []
-      | Some c -> List.map tables_of_conjunct (Openivm_engine.Optimizer.conjuncts c)
-    in
-    let connected chosen candidate =
-      List.exists
-        (fun touched ->
-           List.mem candidate touched
-           && List.exists (fun t -> t <> candidate && List.mem t chosen) touched)
-        edges
-    in
+    let edges = join_edges refs condition in
     let terms = ref [] in
     for mask = 1 to (1 lsl n) - 1 do
       (* join order: delta tables first (they are small), then base tables
          greedily by join-graph connectivity, so the compiled SQL executes
          as index nested loops off the deltas *)
-      let deltas =
-        List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)
+      let deltas, bases =
+        List.partition (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id)
       in
-      let bases =
-        List.filter (fun i -> mask land (1 lsl i) = 0) (List.init n Fun.id)
-      in
-      let order = ref deltas in
-      let remaining = ref bases in
-      while !remaining <> [] do
-        let next =
-          match List.find_opt (fun i -> connected !order i) !remaining with
-          | Some i -> i
-          | None -> List.hd !remaining
-        in
-        order := !order @ [ next ];
-        remaining := List.filter (fun i -> i <> next) !remaining
-      done;
       let items =
         List.map
           (fun i ->
@@ -251,7 +255,7 @@ let fill_statements (flags : Flags.t) (shape : Shape.t) : Ast.stmt list =
              if mask land (1 lsl i) <> 0 then
                table (delta_of flags shape r.Shape.table) ~alias:r.Shape.binding
              else table r.Shape.table ~alias:r.Shape.binding)
-          !order
+          (greedy_order edges ~placed:deltas ~remaining:bases)
       in
       let mults =
         List.filter_map
@@ -312,15 +316,16 @@ let recompute_projections (flags : Flags.t) (shape : Shape.t) :
     visible @ state @ [ proj count_star Shape.count_column ]
   end
 
-let recompute_select ?extra_where (flags : Flags.t) (shape : Shape.t) : Ast.select =
+let recompute_select ?(from : Ast.from_clause option) ?extra_where
+    (flags : Flags.t) (shape : Shape.t) : Ast.select =
   let group_by =
     if Shape.has_aggregates shape then shape.Shape.query.Ast.group_by
     else if flags.Flags.paper_compat then []
     else List.map fst (Shape.group_cols shape)
   in
   let where = source_where ?extra:extra_where shape in
-  select (recompute_projections flags shape) ~from:(original_from shape) ?where
-    ~group_by
+  let from = match from with Some f -> f | None -> original_from shape in
+  select (recompute_projections flags shape) ~from ?where ~group_by
 
 let initial_load (flags : Flags.t) (shape : Shape.t) : Ast.stmt =
   insert_select
@@ -609,42 +614,66 @@ let combine_outer_merge (flags : Flags.t) (shape : Shape.t) : Ast.stmt list =
     insert_select view (select [ (Ast.Star, None) ] ~from:(table stage));
     delete stage ]
 
-(** Tuple key expression for multi-column affected-group membership:
-    COALESCE(CAST(k AS VARCHAR), marker) || sep || ... *)
-let tuple_key (exprs : Ast.expr list) : Ast.expr =
-  let piece e =
-    Ast.Func
-      ("coalesce", [ Ast.Cast (e, Ast.T_text); str_lit Shape.null_marker ])
-  in
-  match exprs with
-  | [] -> invalid_arg "tuple_key: no key columns"
-  | [ e ] -> piece e
-  | e :: rest ->
-    List.fold_left
-      (fun acc x -> concat (concat acc (str_lit Shape.key_separator)) (piece x))
-      (piece e) rest
+(** Step 2, Rederive: drop the affected groups and recompute them from
+    the base tables. Both statements are driven by the distinct affected
+    keys, [__ivm_aff] = [SELECT DISTINCT g1 AS __ivm_k1, ... FROM ΔV],
+    matched with NULL-safe equality (NULL is a legitimate group key):
 
-(** Step 2, Rederive: drop affected groups, recompute them from base. *)
+      DELETE FROM V USING __ivm_aff WHERE V.gi <=> __ivm_aff.__ivm_ki ...
+      INSERT INTO V SELECT ... FROM __ivm_aff, T1, ...
+        WHERE <view predicate> AND gexpr_i <=> __ivm_aff.__ivm_ki ...
+
+    The DELETE probes V's primary key once per affected key. The
+    recompute lists [__ivm_aff] first and the base tables in join-graph
+    order from it, so the engine probes an index on the group columns
+    per key (an index nested-loop join) instead of scanning the base.
+    The [__ivm_k*] aliases keep unqualified group columns unambiguous. *)
 let combine_rederive (flags : Flags.t) (shape : Shape.t) : Ast.stmt list =
   let view = shape.Shape.view_name in
-  let dv = delta_view flags shape in
-  let group_names = List.map snd (Shape.group_cols shape) in
-  let affected_keys =
-    select [ (tuple_key (List.map (fun n -> col n) group_names), None) ]
-      ~from:(table dv)
+  let aff = "__ivm_aff" in
+  let groups = Shape.group_cols shape in
+  let key i = Printf.sprintf "__ivm_k%d" (i + 1) in
+  let affected =
+    Ast.Subquery
+      ( { (select
+             (List.mapi (fun i (_, name) -> proj (col name) (key i)) groups)
+             ~from:(table (delta_view flags shape)))
+          with Ast.distinct = true },
+        aff )
   in
-  let in_affected key_exprs =
-    Ast.In_select (tuple_key key_exprs, affected_keys, false)
+  let matches exprs =
+    conjoin (List.mapi (fun i e -> nullsafe_eq e (col ~q:aff (key i))) exprs)
   in
   let delete_affected =
-    delete view ~where:(in_affected (List.map (fun n -> col n) group_names))
+    delete view ~using:affected
+      ~where:(matches (List.map (fun (_, name) -> col ~q:view name) groups))
+  in
+  let from =
+    match shape.Shape.source with
+    | Shape.Single _ -> cross_chain [ affected; original_from shape ]
+    | Shape.Joined { tables; condition } ->
+      let refs = Array.of_list tables in
+      let n = Array.length refs in
+      (* node [n] is __ivm_aff, linked to the tables each group key reads *)
+      let key_edges = List.map (fun (e, _) -> n :: tables_of refs e) groups in
+      let order =
+        greedy_order (key_edges @ join_edges refs condition) ~placed:[ n ]
+          ~remaining:(List.init n Fun.id)
+      in
+      cross_chain
+        (affected
+         :: List.filter_map
+           (fun i ->
+              if i = n then None
+              else Some (table refs.(i).Shape.table ~alias:refs.(i).Shape.binding))
+           order)
   in
   let recompute =
     insert_select
       ~columns:(view_columns flags shape)
       view
-      (recompute_select flags shape
-         ~extra_where:(in_affected (List.map fst (Shape.group_cols shape))))
+      (recompute_select flags shape ~from
+         ~extra_where:(matches (List.map fst groups)))
   in
   [ delete_affected; recompute ]
 

@@ -42,7 +42,3 @@ val insert_select_parts : Ast.stmt -> (string * Ast.select) option
     which the parallel refresh driver rewrites per delta shard. [None] for
     anything else. *)
 
-(**/**)
-
-val tuple_key : Ast.expr list -> Ast.expr
-val recompute_select : ?extra_where:Ast.expr -> Flags.t -> Shape.t -> Ast.select

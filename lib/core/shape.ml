@@ -55,8 +55,6 @@ type t = {
 
 let count_column = "__ivm_count"
 let stage_table shape = "__ivm_stage_" ^ shape.view_name
-let null_marker = "\x01<null>"
-let key_separator = "\x1f"
 
 (* the DBSP inclusion–exclusion rewrite emits 2^N - 1 fill terms; cap N
    so a typo cannot explode the script *)

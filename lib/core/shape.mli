@@ -48,8 +48,6 @@ val count_column : string
 (** The hidden group-size column ([__ivm_count]). *)
 
 val stage_table : t -> string
-val null_marker : string
-val key_separator : string
 val max_join_tables : int
 
 val group_cols : t -> (Ast.expr * string) list

@@ -59,7 +59,7 @@ let insert ?(columns = []) ?(on_conflict = Ast.No_conflict_clause) table source
 let insert_select ?columns ?on_conflict table q : Ast.stmt =
   insert ?columns ?on_conflict table (Ast.Query q)
 
-let delete ?where table : Ast.stmt = Ast.Delete { table; where }
+let delete ?using ?where table : Ast.stmt = Ast.Delete { table; using; where }
 
 let coldef ?(not_null = false) name typ : Ast.column_def =
   { Ast.col_name = name; col_type = typ; col_not_null = not_null;

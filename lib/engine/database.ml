@@ -209,9 +209,12 @@ let rec exec_stmt t (stmt : Sql.Ast.stmt) : exec_result =
         t.profile.rows_written <- t.profile.rows_written + o.Dml.affected;
         Openivm_obs.Metrics.add m_rows_written o.Dml.affected;
         Affected o.Dml.affected)
-  | Sql.Ast.Delete { table; where } ->
+  | Sql.Ast.Delete { table; using; where } ->
     timed `Dml (fun () ->
-        let o = Dml.exec_delete t.catalog t.triggers ~table ~where in
+        let o =
+          Dml.exec_delete ~engine:t.exec_engine t.catalog t.triggers ~table
+            ?using ~where
+        in
         t.profile.rows_written <- t.profile.rows_written + o.Dml.affected;
         Openivm_obs.Metrics.add m_rows_written o.Dml.affected;
         Affected o.Dml.affected)

@@ -1,8 +1,5 @@
 (** INSERT / UPDATE / DELETE execution, with trigger firing. *)
 
-(* read a slot's live row *)
-let _openivm_engine_vec_get (tbl : Table.t) slot = Vec.get tbl.Table.slots slot
-
 type outcome = {
   affected : int;
   change : Trigger.change option;
@@ -285,77 +282,118 @@ let exec_insert ?(engine = !Exec.default_engine) ?(distinct_hint = false)
     still applies the full predicate). *)
 let candidate_slots (tbl : Table.t) (where : Sql.Ast.expr option) :
   int list option =
-  match where with
-  | None -> None
-  | Some predicate ->
-    let schema = tbl.Table.schema in
-    let pinned = Hashtbl.create 8 in
-    List.iter
-      (fun c ->
-         match c with
-         | Sql.Ast.Binary (Sql.Ast.Eq, a, b) ->
-           let try_pin col const =
-             match col with
-             | Sql.Ast.Column (qualifier, name) when name <> "*" ->
-               if Openivm_sql.Analysis.is_constant const then begin
-                 match Schema.find_opt schema ~qualifier ~name with
-                 | Some (i, _) ->
-                   if not (Hashtbl.mem pinned i) then
-                     Hashtbl.replace pinned i const
-                 | None -> ()
-                 | exception Error.Sql_error _ -> ()
-               end
-             | _ -> ()
-           in
-           try_pin a b;
-           try_pin b a
-         | _ -> ())
-      (Optimizer.conjuncts predicate);
-    let key_for positions =
-      Value.encode_key
-        (Array.map (fun i -> Expr.eval_const (Hashtbl.find pinned i)) positions)
-    in
-    let fully_pinned positions =
-      Array.length positions > 0
-      && Array.for_all (fun i -> Hashtbl.mem pinned i) positions
-    in
-    if fully_pinned tbl.Table.primary_key then
-      Some (Option.to_list (Table.pk_slot tbl (key_for tbl.Table.primary_key)))
-    else
-      List.find_map
-        (fun ix ->
-           if fully_pinned ix.Table.key_positions then
-             Some (Table.index_slots tbl ix (key_for ix.Table.key_positions))
-           else None)
-        tbl.Table.secondary
+  Option.bind where (fun predicate ->
+      Option.map
+        (fun (probe, key_exprs, _) ->
+           let vals = Array.of_list (List.map Expr.eval_const key_exprs) in
+           Index_probe.slots probe
+             (Index_probe.encode probe ~nullsafe:Index_probe.strict vals))
+        (Index_probe.pinned_by_constants tbl tbl.Table.schema
+           (Optimizer.conjuncts predicate)))
 
-let exec_delete catalog triggers ~table ~where : outcome =
+(* DELETE ... USING: the rows of [tbl] that some source row satisfies
+   [where] with. The source is evaluated once. When the WHERE's
+   equi-keys (plain or NULL-safe) cover an index of the target, each
+   source row probes it; otherwise the source is hashed on those keys and
+   the target scanned once (a nested loop when there are no keys). Every
+   candidate pair is checked against the whole WHERE; a slot is deleted
+   at most once. *)
+let delete_using ~engine catalog (tbl : Table.t) ~source ~where : Row.t list =
+  let src =
+    Vexec.run_with engine catalog
+      (Optimizer.optimize catalog (Planner.plan_from catalog source))
+  in
+  let ts = Schema.requalify tbl.Table.schema tbl.Table.name in
+  let pred =
+    match where with
+    | None -> fun (_ : Row.t) -> true
+    | Some e ->
+      let c = Exec.compile_expr catalog (Schema.join ts src.Exec.schema) e in
+      fun row -> Expr.is_true (c row)
+  in
+  let matches trow srow = pred (Row.concat trow srow) in
+  let keys, _ = Exec.split_join_condition ts src.Exec.schema where in
+  let src_key =
+    let cs =
+      List.map
+        (fun k -> Exec.compile_expr catalog src.Exec.schema k.Exec.right_expr)
+        keys
+    in
+    fun srow -> Array.of_list (List.map (fun c -> c srow) cs)
+  in
+  match
+    Index_probe.for_columns ~exact:false tbl ts
+      (List.map (fun k -> k.Exec.left_expr) keys)
+  with
+  | Some (probe, order) ->
+    let nullsafe = Array.of_list (List.map (fun k -> k.Exec.nullsafe) keys) in
+    List.concat_map
+      (fun srow ->
+         let kv = src_key srow in
+         let key =
+           Index_probe.encode probe
+             ~nullsafe:(fun i -> nullsafe.(order.(i)))
+             (Array.map (fun j -> kv.(j)) order)
+         in
+         List.filter_map
+           (fun slot ->
+              match Table.row_at tbl slot with
+              | Some trow when matches trow srow -> Table.delete_slot tbl slot
+              | _ -> None)
+           (Index_probe.slots probe key))
+      src.Exec.rows
+  | None when keys = [] ->
+    Table.delete_where tbl (fun trow -> List.exists (matches trow) src.Exec.rows)
+  | None ->
+    let tgt_key =
+      let cs =
+        List.map (fun k -> Exec.compile_expr catalog ts k.Exec.left_expr) keys
+      in
+      fun trow -> Array.of_list (List.map (fun c -> c trow) cs)
+    in
+    let by_key = Row.Tbl.create (List.length src.Exec.rows) in
+    List.iter
+      (fun srow ->
+         let k = src_key srow in
+         Row.Tbl.replace by_key k
+           (srow :: Option.value (Row.Tbl.find_opt by_key k) ~default:[]))
+      src.Exec.rows;
+    Table.delete_where tbl (fun trow ->
+        match Row.Tbl.find_opt by_key (tgt_key trow) with
+        | Some srows -> List.exists (matches trow) srows
+        | None -> false)
+
+let exec_delete ?(engine = !Exec.default_engine) ?using catalog triggers
+    ~table ~where : outcome =
   let tbl = Catalog.find_table catalog table in
-  match where with
-  | None when not (Trigger.has_hooks triggers ~table) ->
+  match using, where with
+  | None, None when not (Trigger.has_hooks triggers ~table) ->
     (* full unconditional delete with nobody listening: drop the rows
        without materializing them *)
     let n = Table.truncate tbl in
     { affected = n;
       change = Some { Trigger.table; inserted = []; deleted = [] } }
   | _ ->
-  let pred =
-    match where with
-    | None -> fun (_ : Row.t) -> true
-    | Some e ->
-      let c = Exec.compile_expr catalog tbl.Table.schema e in
-      fun row -> Expr.is_true (c row)
-  in
   let deleted =
-    match candidate_slots tbl where with
-    | Some slots ->
-      List.filter_map
-        (fun slot ->
-           match _openivm_engine_vec_get tbl slot with
-           | Some row when pred row -> Table.delete_slot tbl slot
-           | _ -> None)
-        slots
-    | None -> Table.delete_where tbl pred
+    match using with
+    | Some source -> delete_using ~engine catalog tbl ~source ~where
+    | None ->
+      let pred =
+        match where with
+        | None -> fun (_ : Row.t) -> true
+        | Some e ->
+          let c = Exec.compile_expr catalog tbl.Table.schema e in
+          fun row -> Expr.is_true (c row)
+      in
+      (match candidate_slots tbl where with
+       | Some slots ->
+         List.filter_map
+           (fun slot ->
+              match Table.row_at tbl slot with
+              | Some row when pred row -> Table.delete_slot tbl slot
+              | _ -> None)
+           slots
+       | None -> Table.delete_where tbl pred)
   in
   let change = { Trigger.table; inserted = []; deleted } in
   Trigger.fire triggers change;
@@ -394,7 +432,7 @@ let exec_update catalog triggers ~table ~assignments ~where : outcome =
       let targets =
         List.filter_map
           (fun slot ->
-             match _openivm_engine_vec_get tbl slot with
+             match Table.row_at tbl slot with
              | Some row when pred row -> Some slot
              | _ -> None)
           slots

@@ -25,7 +25,13 @@ val exec_insert :
     to {!Table.insert_many}'s [distinct_keys]. *)
 
 val exec_delete :
+  ?engine:Exec.engine ->
+  ?using:Sql.Ast.from_clause ->
   Catalog.t -> Trigger.t -> table:string -> where:Sql.Ast.expr option -> outcome
+(** [DELETE FROM table [USING using] [WHERE where]]. A [using] source is
+    evaluated once (with [engine]); the WHERE's equi-keys between target
+    and source probe a covering PK or secondary index of the target per
+    source row, or else hash-join the source against one scan. *)
 
 val exec_update :
   Catalog.t -> Trigger.t -> table:string ->

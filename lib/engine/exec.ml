@@ -52,12 +52,11 @@ let make_state (agg : Sql.Ast.agg) : agg_state =
   | Sql.Ast.Avg ->
     Avg_st { sum_int = 0; sum_float = 0.0; float_mode = false; n = 0 }
 
-let update_state st (v : Value.t option) =
-  (* [None] argument = COUNT star (count the row regardless) *)
-  match st, v with
-  | Count_st n, None -> incr n
-  | Count_st n, Some v -> if not (Value.is_null v) then incr n
-  | Sum_st s, Some v ->
+(* fold one argument value into an accumulator *)
+let update_value st (v : Value.t) =
+  match st with
+  | Count_st n -> if not (Value.is_null v) then incr n
+  | Sum_st s ->
     (match v with
      | Value.Null -> ()
      | Value.Int i ->
@@ -72,13 +71,13 @@ let update_state st (v : Value.t option) =
        end;
        s.sum_float <- s.sum_float +. f
      | _ -> Error.fail "SUM over non-numeric value %s" (Value.to_string v))
-  | Extremum_st e, Some v ->
+  | Extremum_st e ->
     if not (Value.is_null v) then
       if Value.is_null e.cur then e.cur <- v
       else
         let c = Value.compare v e.cur in
         if (e.is_min && c < 0) || ((not e.is_min) && c > 0) then e.cur <- v
-  | Avg_st a, Some v ->
+  | Avg_st a ->
     (match v with
      | Value.Null -> ()
      | Value.Int i ->
@@ -93,6 +92,12 @@ let update_state st (v : Value.t option) =
        end;
        a.sum_float <- a.sum_float +. f
      | _ -> Error.fail "AVG over non-numeric value %s" (Value.to_string v))
+
+let update_state st (v : Value.t option) =
+  (* [None] argument = COUNT star (count the row regardless) *)
+  match st, v with
+  | _, Some v -> update_value st v
+  | Count_st n, None -> incr n
   | (Sum_st _ | Extremum_st _ | Avg_st _), None ->
     Error.fail "only COUNT accepts *"
 
@@ -147,24 +152,12 @@ let split_join_condition ls rs condition =
     in
     List.fold_left
       (fun (keys, residual) conjunct ->
-         match conjunct with
-         | Sql.Ast.Binary (Sql.Ast.Eq, a, b) ->
-           (match as_key ~nullsafe:false a b with
+         match Optimizer.equi_operands conjunct with
+         | Some (a, b, nullsafe) ->
+           (match as_key ~nullsafe a b with
             | Some k -> (k :: keys, residual)
             | None -> (keys, conjunct :: residual))
-         | Sql.Ast.Binary
-             ( Sql.Ast.Or,
-               Sql.Ast.Binary (Sql.Ast.Eq, a, b),
-               Sql.Ast.Binary
-                 ( Sql.Ast.And,
-                   Sql.Ast.Is_null (a', false),
-                   Sql.Ast.Is_null (b', false) ) )
-           when (a = a' && b = b') || (a = b' && b = a') ->
-           (* NULL-safe equality *)
-           (match as_key ~nullsafe:true a b with
-            | Some k -> (k :: keys, residual)
-            | None -> (keys, conjunct :: residual))
-         | other -> (keys, other :: residual))
+         | None -> (keys, conjunct :: residual))
       ([], [])
       (Optimizer.conjuncts c)
     |> fun (keys, residual) -> (List.rev keys, List.rev residual)
@@ -218,20 +211,7 @@ and exec_node (catalog : Catalog.t) (plan : Plan.t) : result =
   | Plan.Scan { table; _ } ->
     { schema; rows = Table.to_rows (Catalog.find_table catalog table) }
   | Plan.Index_scan { table; index_name; key_exprs; _ } ->
-    let tbl = Catalog.find_table catalog table in
-    let key =
-      Value.encode_key
-        (Array.of_list
-           (List.map (fun e -> compile_expr catalog [] e [||]) key_exprs))
-    in
-    let rows =
-      if index_name = "" then Option.to_list (Table.pk_lookup tbl key)
-      else
-        match Table.find_secondary tbl index_name with
-        | Some ix -> Table.index_lookup tbl ix key
-        | None -> Error.fail "index %S vanished from table %S" index_name table
-    in
-    { schema; rows }
+    { schema; rows = index_scan_rows catalog ~table ~index_name key_exprs }
   | Plan.Materialized { rows; _ } -> { schema; rows }
   | Plan.Filter { input; predicate } ->
     let inner = run catalog input in
@@ -329,6 +309,15 @@ and exec_node (catalog : Catalog.t) (plan : Plan.t) : result =
     in
     { schema = l.schema; rows }
 
+(* the rows an index scan's constant keys select (shared with [Vexec]) *)
+and index_scan_rows catalog ~table ~index_name key_exprs : Row.t list =
+  let probe = Index_probe.of_name (Catalog.find_table catalog table) index_name in
+  let vals =
+    Array.of_list (List.map (fun e -> compile_expr catalog [] e [||]) key_exprs)
+  in
+  Index_probe.rows probe
+    (Index_probe.encode probe ~nullsafe:Index_probe.strict vals)
+
 (* evaluate an uncorrelated subquery to its first column, for IN (SELECT) *)
 and subquery_values catalog (q : Sql.Ast.select) : Value.t list =
   let plan = Optimizer.optimize catalog (Planner.plan catalog q) in
@@ -406,57 +395,18 @@ and join_materialized catalog schema left right kind condition ~get_l ~get_r :
      side's rows into it instead of hashing the whole table — the paper's
      "ART ... can be used in the future to speed up joins". *)
   let index_target (plan : Plan.t) side_schema (side_expr : join_key -> Sql.Ast.expr) =
-    match plan, keys with
-    | Plan.Scan { table; _ }, _ :: _ ->
-      let tbl = Catalog.find_table catalog table in
-      let positions =
-        try
-          Some
-            (Array.of_list
-               (List.map
-                  (fun k ->
-                     match side_expr k with
-                     | Sql.Ast.Column (qualifier, name) when name <> "*" ->
-                       fst (Schema.find side_schema ~qualifier ~name)
-                     | _ -> raise Exit)
-                  keys))
-        with Exit | Error.Sql_error _ -> None
-      in
-      (match positions with
-       | None -> None
-       | Some pos ->
-         let same_set (a : int array) =
-           Array.length a > 0
-           && List.sort compare (Array.to_list a)
-              = List.sort compare (Array.to_list pos)
-         in
-         (* order.(i) = index of the join key that supplies the i-th index
-            column *)
-         let order_for (index_positions : int array) =
-           Array.map
-             (fun p ->
-                let rec find j =
-                  if pos.(j) = p then j else find (j + 1)
-                in
-                find 0)
-             index_positions
-         in
-         if same_set tbl.Table.primary_key then
-           Some (tbl, `Pk, order_for tbl.Table.primary_key)
-         else
-           List.find_map
-             (fun ix ->
-                if same_set ix.Table.key_positions then
-                  Some (tbl, `Secondary ix, order_for ix.Table.key_positions)
-                else None)
-             tbl.Table.secondary)
+    match plan with
+    | Plan.Scan { table; _ } ->
+      Index_probe.for_columns ~exact:true (Catalog.find_table catalog table)
+        side_schema (List.map side_expr keys)
     | _ -> None
   in
-  let inlj_lookup (tbl, which, order) (kvals : Row.t) : Row.t list =
-    let key = Value.encode_key (Array.map (fun j -> kvals.(j)) order) in
-    match which with
-    | `Pk -> Option.to_list (Table.pk_lookup tbl key)
-    | `Secondary ix -> Table.index_lookup tbl ix key
+  let nullsafe_key = Array.of_list (List.map (fun k -> k.nullsafe) keys) in
+  let inlj_lookup (probe, order) (kvals : Row.t) : Row.t list =
+    Index_probe.rows probe
+      (Index_probe.encode probe
+         ~nullsafe:(fun i -> nullsafe_key.(order.(i)))
+         (Array.map (fun j -> kvals.(j)) order))
   in
   (* probe [probe_rows] into the indexed side; [combine] assembles the
      output row in left-to-right schema order *)
@@ -466,10 +416,7 @@ and join_materialized catalog schema left right kind condition ~get_l ~get_r :
     let unmatched = ref [] in
     List.iter
       (fun prow ->
-         let k = key_of compiled prow in
-         let matches =
-           if has_null k then [] else inlj_lookup target k
-         in
+         let matches = inlj_lookup target (key_of compiled prow) in
          let hit = ref false in
          List.iter
            (fun irow ->
@@ -493,8 +440,8 @@ and join_materialized catalog schema left right kind condition ~get_l ~get_r :
       index_target left ls (fun k -> k.left_expr)
     else None
   in
-  let worthwhile probe_count (tbl, _, _) =
-    probe_count * 2 < Table.row_count tbl
+  let worthwhile probe_count ((probe : Index_probe.t), _) =
+    probe_count * 2 < Table.row_count probe.Index_probe.table
   in
   (* try the index paths first; fall back to a hash join *)
   let attempt_right () =
@@ -615,61 +562,67 @@ and run_aggregate catalog schema input group_exprs aggs : result =
    boxed fallback so both engines agree on group order (first-seen) and
    accumulator semantics. *)
 and aggregate_rows catalog schema ~(inner : result) group_exprs aggs : result =
-  let group_compiled =
-    List.map (fun (e, _) -> compile_expr catalog inner.schema e) group_exprs
+  let keys =
+    Array.of_list
+      (List.map (fun (e, _) -> compile_expr catalog inner.schema e) group_exprs)
   in
-  let arg_compiled =
-    List.map
+  let nkeys = Array.length keys in
+  let specs = Array.of_list aggs in
+  let naggs = Array.length specs in
+  let args =
+    Array.map
       (fun spec -> Option.map (compile_expr catalog inner.schema) spec.Plan.arg)
-      aggs
+      specs
   in
-  let groups : (Row.t * (agg_state * unit Row.Tbl.t option) list) Row.Tbl.t =
+  (* per group: its accumulators, and each DISTINCT aggregate's seen set *)
+  let groups : (agg_state array * unit Row.Tbl.t option array) Row.Tbl.t =
     Row.Tbl.create 64
   in
   let order = ref [] in
   let state_for key =
-    match Row.Tbl.find_opt groups key with
-    | Some (_, states) -> states
-    | None ->
-      let states =
-        List.map
-          (fun spec ->
-             ( make_state spec.Plan.agg,
-               if spec.Plan.distinct then Some (Row.Tbl.create 16) else None ))
-          aggs
+    match Row.Tbl.find groups key with
+    | g -> g
+    | exception Not_found ->
+      let g =
+        ( Array.map (fun spec -> make_state spec.Plan.agg) specs,
+          Array.map
+            (fun spec ->
+               if spec.Plan.distinct then Some (Row.Tbl.create 16) else None)
+            specs )
       in
-      Row.Tbl.replace groups key (key, states);
+      Row.Tbl.replace groups key g;
       order := key :: !order;
-      states
+      g
   in
   List.iter
     (fun row ->
-       let key =
-         Array.of_list (List.map (fun c -> c row) group_compiled)
-       in
-       let states = state_for key in
-       List.iter2
-         (fun (st, distinct_seen) carg ->
-            let v = Option.map (fun c -> c row) carg in
-            let skip =
-              match distinct_seen, v with
-              | Some seen, Some value ->
-                let k = [| value |] in
-                if Row.Tbl.mem seen k then true
-                else begin Row.Tbl.add seen k (); false end
-              | _ -> false
-            in
-            if not skip then update_state st v)
-         states arg_compiled)
+       let key = Array.make nkeys Value.Null in
+       for i = 0 to nkeys - 1 do
+         key.(i) <- keys.(i) row
+       done;
+       let states, seen = state_for key in
+       for j = 0 to naggs - 1 do
+         match args.(j) with
+         | None -> update_state states.(j) None
+         | Some c ->
+           let v = c row in
+           (match seen.(j) with
+            | None -> update_value states.(j) v
+            | Some s ->
+              let k = [| v |] in
+              if not (Row.Tbl.mem s k) then begin
+                Row.Tbl.add s k ();
+                update_value states.(j) v
+              end)
+       done)
     inner.rows;
   (* global aggregate over empty input still yields one row *)
   if group_exprs = [] && !order = [] then ignore (state_for [||]);
   let rows =
     List.rev_map
       (fun key ->
-         let _, states = Row.Tbl.find groups key in
-         Array.append key
-           (Array.of_list (List.map (fun (st, _) -> finalize_state st) states)))
+         let states, _ = Row.Tbl.find groups key in
+         Array.append key (Array.map finalize_state states))
       !order
   in
   { schema; rows }

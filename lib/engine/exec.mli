@@ -45,7 +45,8 @@ type join_key = {
 val split_join_condition :
   Schema.t -> Schema.t -> Sql.Ast.expr option ->
   join_key list * Sql.Ast.expr list
-(** Split an ON condition into hash keys plus residual conjuncts. *)
+(** Split an ON condition into hash keys (plain or NULL-safe equalities
+    between the two sides) plus residual conjuncts. *)
 
 val run : Catalog.t -> Plan.t -> result
 
@@ -63,6 +64,13 @@ val aggregate_rows :
   Plan.agg_spec list -> result
 (** Hash aggregation over a materialized input — shared with [Vexec]'s
     boxed fallback (first-seen group order, identical accumulators). *)
+
+val index_scan_rows :
+  Catalog.t -> table:string -> index_name:string -> Sql.Ast.expr list ->
+  Row.t list
+(** The rows a [Plan.Index_scan]'s constant key expressions select
+    (shared with [Vexec]); keys are normalised by {!Index_probe.encode},
+    so the lookup matches what a scan with [=] would. *)
 
 val subquery_values : Catalog.t -> Sql.Ast.select -> Value.t list
 (** Evaluate an uncorrelated subquery to its first column. *)

@@ -37,6 +37,23 @@ let rec conjuncts = function
   | Sql.Ast.Binary (Sql.Ast.And, a, b) -> conjuncts a @ conjuncts b
   | e -> [ e ]
 
+(** [a = b] as [Some (a, b, false)]; the NULL-safe equality the IVM
+    combine emits, [a = b OR (a IS NULL AND b IS NULL)], as
+    [Some (a, b, true)]. *)
+let equi_operands :
+  Sql.Ast.expr -> (Sql.Ast.expr * Sql.Ast.expr * bool) option = function
+  | Sql.Ast.Binary (Sql.Ast.Eq, a, b) -> Some (a, b, false)
+  | Sql.Ast.Binary
+      ( Sql.Ast.Or,
+        Sql.Ast.Binary (Sql.Ast.Eq, a, b),
+        Sql.Ast.Binary
+          ( Sql.Ast.And,
+            Sql.Ast.Is_null (a', false),
+            Sql.Ast.Is_null (b', false) ) )
+    when (a = a' && b = b') || (a = b' && b = a') ->
+    Some (a, b, true)
+  | _ -> None
+
 let conjoin = function
   | [] -> Sql.Ast.Lit (Sql.Ast.L_bool true)
   | e :: rest ->
@@ -111,56 +128,13 @@ type context = {
 let try_index_scan ctx ~table ~binding (cs : Sql.Ast.expr list) :
   (Plan.t * Sql.Ast.expr list) option =
   let tbl = ctx.table_of table in
-  let schema = Schema.requalify tbl.Table.schema binding in
-  (* pinned columns: position -> (const expr, conjunct) *)
-  let pinned = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-       match c with
-       | Sql.Ast.Binary (Sql.Ast.Eq, a, b) ->
-         let try_pin col const =
-           match col with
-           | Sql.Ast.Column (qualifier, name) when name <> "*" ->
-             if Openivm_sql.Analysis.is_constant const then begin
-               match Schema.find_opt schema ~qualifier ~name with
-               | Some (i, _) ->
-                 if not (Hashtbl.mem pinned i) then
-                   Hashtbl.replace pinned i (const, c)
-               | None -> ()
-               | exception Error.Sql_error _ -> ()
-             end
-           | _ -> ()
-         in
-         try_pin a b;
-         try_pin b a
-       | _ -> ())
-    cs;
-  let candidate positions =
-    Array.for_all (fun i -> Hashtbl.mem pinned i) positions
-    && Array.length positions > 0
-  in
-  let chosen =
-    if Array.length tbl.Table.primary_key > 0 && candidate tbl.Table.primary_key
-    then Some ("", tbl.Table.primary_key)
-    else
-      List.find_map
-        (fun ix ->
-           if candidate ix.Table.key_positions then
-             Some (ix.Table.index_name, ix.Table.key_positions)
-           else None)
-        tbl.Table.secondary
-  in
-  match chosen with
-  | None -> None
-  | Some (index_name, positions) ->
-    let used =
-      Array.to_list (Array.map (fun i -> snd (Hashtbl.find pinned i)) positions)
-    in
-    let key_exprs =
-      Array.to_list (Array.map (fun i -> fst (Hashtbl.find pinned i)) positions)
-    in
-    let leftover = List.filter (fun c -> not (List.memq c used)) cs in
-    Some (Plan.Index_scan { table; binding; index_name; key_exprs }, leftover)
+  Option.map
+    (fun (probe, key_exprs, used) ->
+       let index_name = Index_probe.index_name probe in
+       let leftover = List.filter (fun c -> not (List.memq c used)) cs in
+       (Plan.Index_scan { table; binding; index_name; key_exprs }, leftover))
+    (Index_probe.pinned_by_constants tbl
+       (Schema.requalify tbl.Table.schema binding) cs)
 
 let rec rewrite ctx (plan : Plan.t) : Plan.t =
   let plan = Plan.map_children (rewrite ctx) plan in
@@ -247,16 +221,17 @@ and push_filter ctx (input : Plan.t) (cs : Sql.Ast.expr list) : Plan.t =
     let right' =
       if to_right = [] then right else push_filter ctx right to_right
     in
-    (* an equality conjunct spanning both sides upgrades a cross product *)
+    (* an equality conjunct (plain or NULL-safe) spanning both sides
+       upgrades a cross product *)
     let join_conds, still_stuck =
       if kind = Sql.Ast.Cross then
         List.partition
           (fun c ->
-             match c with
-             | Sql.Ast.Binary (Sql.Ast.Eq, a, b) ->
+             match equi_operands c with
+             | Some (a, b, _) ->
                (refers_only_to ls a && refers_only_to rs b)
                || (refers_only_to rs a && refers_only_to ls b)
-             | _ -> false)
+             | None -> false)
           stuck
       else ([], stuck)
     in

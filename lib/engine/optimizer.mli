@@ -10,6 +10,10 @@ val fold_constants : Sql.Ast.expr -> Sql.Ast.expr
 val conjuncts : Sql.Ast.expr -> Sql.Ast.expr list
 (** Top-level AND-conjuncts. *)
 
+val equi_operands : Sql.Ast.expr -> (Sql.Ast.expr * Sql.Ast.expr * bool) option
+(** [a = b] as [Some (a, b, false)]; the NULL-safe form
+    [a = b OR (a IS NULL AND b IS NULL)] as [Some (a, b, true)]. *)
+
 val conjoin : Sql.Ast.expr list -> Sql.Ast.expr
 (** [conjoin []] is [TRUE]. *)
 

@@ -305,3 +305,6 @@ and plan_order_by env (plan : Plan.t) ~key_rewrite (s : Sql.Ast.select) : Plan.t
 
 let plan (catalog : Catalog.t) (s : Sql.Ast.select) : Plan.t =
   plan_select { catalog; ctes = [] } s
+
+let plan_from catalog (f : Sql.Ast.from_clause) : Plan.t =
+  plan_from { catalog; ctes = [] } f

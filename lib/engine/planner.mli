@@ -5,3 +5,6 @@
 
 val plan : Catalog.t -> Sql.Ast.select -> Plan.t
 (** Raises {!Error.Sql_error} on unresolvable names and semantic errors. *)
+
+val plan_from : Catalog.t -> Sql.Ast.from_clause -> Plan.t
+(** A FROM clause on its own, columns qualified by their bindings. *)

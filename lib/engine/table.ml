@@ -1,9 +1,10 @@
 (** Heap table storage.
 
     Rows live in slots of a growable vector; DELETE tombstones a slot so
-    indexes (which map encoded keys to slot numbers) stay valid. When more
-    than half the slots are dead a compaction rebuilds storage and all
-    indexes.
+    indexes (which map encoded keys to slot numbers) stay valid. A slot
+    holds its row directly, a dead one the private [dead] array, so a live
+    row costs no option box. When more than half the slots are dead a
+    compaction rebuilds storage and all indexes.
 
     An open undo log ({!begin_undo}) records the exact inverse of every
     mutation at slot granularity, so a failed multi-table write rolls
@@ -26,7 +27,7 @@ type undo_entry =
   | Overwritten of int * Row.t  (* slot replaced in place; the old row *)
   | Marked_stale  (* a bulk append set [pk_stale]; it was clear before *)
   | Truncated of {
-      old_slots : Row.t option Vec.t;
+      old_slots : Row.t Vec.t;
       old_live : int;
       old_pk : int Art.t option;
       old_stale : bool;
@@ -37,7 +38,7 @@ type t = {
   name : string;
   schema : Schema.t;
   primary_key : int array;  (** column positions; empty = no PK *)
-  mutable slots : Row.t option Vec.t;
+  mutable slots : Row.t Vec.t;  (** [dead] marks a tombstoned slot *)
   mutable live : int;
   mutable pk_index : int Art.t option;
   mutable pk_stale : bool;
@@ -48,10 +49,14 @@ type t = {
   mutable undo : undo_entry list option;  (** newest first; [None] = closed *)
 }
 
+(* The tombstone: a block of its own, never handed out, so physical
+   equality tells a dead slot from any row. *)
+let dead : Row.t = [| Value.Null |]
+
 let create ~name ~(schema : Schema.t) ~primary_key =
   let pk_index = if Array.length primary_key = 0 then None else Some (Art.create ()) in
   { name; schema; primary_key;
-    slots = Vec.create ~dummy:None ();
+    slots = Vec.create ~dummy:dead ();
     live = 0; pk_index; pk_stale = false; secondary = []; undo = None }
 
 let note_undo t entry =
@@ -77,11 +82,14 @@ let pk_key t row = key_of_row t.primary_key row
 
 (* --- iteration --- *)
 
-let iter_rows f t =
-  Vec.iter (function Some row -> f row | None -> ()) t.slots
+let iter_rows f t = Vec.iter (fun row -> if row != dead then f row) t.slots
 
 let iter_slots f t =
-  Vec.iteri (fun i s -> match s with Some row -> f i row | None -> ()) t.slots
+  Vec.iteri (fun i row -> if row != dead then f i row) t.slots
+
+let row_at t slot : Row.t option =
+  let row = Vec.get t.slots slot in
+  if row == dead then None else Some row
 
 let to_rows t =
   let acc = ref [] in
@@ -173,7 +181,7 @@ let compact t =
   t.live <- 0;
   List.iter
     (fun row ->
-       let slot = Vec.push t.slots (Some row) in
+       let slot = Vec.push t.slots row in
        t.live <- t.live + 1;
        (match t.pk_index with
         | Some pk -> Art.insert pk (pk_key t row) slot
@@ -207,7 +215,7 @@ let insert t (row : Row.t) : unit =
         Error.fail "duplicate key in table %S: %s" t.name (Row.to_string row);
       Some (pk, key)
   in
-  let slot = Vec.push t.slots (Some row) in
+  let slot = Vec.push t.slots row in
   note_undo t (Pushed slot);
   t.live <- t.live + 1;
   (match pk_entry with
@@ -239,7 +247,7 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
       List.iter
         (fun row ->
            check_arity t row;
-           let slot = Vec.push t.slots (Some row) in
+           let slot = Vec.push t.slots row in
            note_undo t (Pushed slot);
            t.live <- t.live + 1;
            List.iter (fun ix -> index_add_row ix slot row) t.secondary)
@@ -256,7 +264,7 @@ let insert_many ?(distinct_keys = false) t (rows : Row.t list) : unit =
            if Hashtbl.length seen = before then
              Error.fail "duplicate key in table %S: %s" t.name
                (Row.to_string row);
-           let slot = Vec.push t.slots (Some row) in
+           let slot = Vec.push t.slots row in
            note_undo t (Pushed slot);
            t.live <- t.live + 1;
            List.iter (fun ix -> index_add_row ix slot row) t.secondary)
@@ -279,10 +287,10 @@ let upsert t (row : Row.t) : upsert_outcome =
     let key = pk_key t row in
     (match Art.find pk key with
      | Some slot ->
-       (match Vec.get t.slots slot with
+       (match row_at t slot with
         | Some old ->
           List.iter (fun ix -> index_remove_row ix slot old) t.secondary;
-          Vec.set t.slots slot (Some row);
+          Vec.set t.slots slot row;
           note_undo t (Overwritten (slot, old));
           List.iter (fun ix -> index_add_row ix slot row) t.secondary;
           Replaced old
@@ -307,10 +315,10 @@ let insert_ignore t (row : Row.t) : bool =
     else begin insert t row; true end
 
 let delete_slot t slot : Row.t option =
-  match Vec.get t.slots slot with
+  match row_at t slot with
   | None -> None
   | Some row ->
-    Vec.set t.slots slot None;
+    Vec.set t.slots slot dead;
     note_undo t (Emptied (slot, row));
     t.live <- t.live - 1;
     (match t.pk_index with
@@ -359,7 +367,7 @@ let truncate t : int =
           { old_slots = t.slots; old_live = t.live; old_pk = t.pk_index;
             old_stale = t.pk_stale;
             old_arts = List.map (fun ix -> (ix, ix.art)) t.secondary });
-     t.slots <- Vec.create ~dummy:None ());
+     t.slots <- Vec.create ~dummy:dead ());
   t.pk_stale <- false;
   (match t.pk_index with Some _ -> t.pk_index <- Some (Art.create ()) | None -> ());
   List.iter (fun ix -> ix.art <- Art.create ()) t.secondary;
@@ -371,17 +379,20 @@ let index_lookup t (ix : index) (key : string) : Row.t list =
   match Art.find ix.art key with
   | None -> []
   | Some slots ->
-    List.filter_map
-      (fun slot ->
-         match Vec.get t.slots slot with Some r -> Some r | None -> None)
-      (List.rev slots)
+    List.fold_left
+      (fun acc slot ->
+         let row = Vec.get t.slots slot in
+         if row == dead then acc else row :: acc)
+      [] slots
 
 (** Live slots whose index key equals [key]. *)
 let index_slots t (ix : index) (key : string) : int list =
   match Art.find ix.art key with
   | None -> []
   | Some slots ->
-    List.filter (fun slot -> Vec.get t.slots slot <> None) (List.rev slots)
+    List.fold_left
+      (fun acc slot -> if Vec.get t.slots slot == dead then acc else slot :: acc)
+      [] slots
 
 let pk_slot t (key : string) : int option =
   ensure_pk t;
@@ -396,7 +407,7 @@ let pk_lookup t (key : string) : Row.t option =
   | Some pk ->
     (match Art.find pk key with
      | None -> None
-     | Some slot -> Vec.get t.slots slot)
+     | Some slot -> row_at t slot)
 
 (* --- undo log --- *)
 
@@ -433,22 +444,22 @@ let unindex_slot t slot row =
    [Truncated] table is empty. *)
 let undo_one t = function
   | Pushed slot ->
-    (match Vec.get t.slots slot with
+    (match row_at t slot with
      | Some row ->
        unindex_slot t slot row;
        t.live <- t.live - 1
      | None -> ());
     Vec.truncate t.slots slot
   | Emptied (slot, row) ->
-    Vec.set t.slots slot (Some row);
+    Vec.set t.slots slot row;
     t.live <- t.live + 1;
     index_slot t slot row
   | Overwritten (slot, old) ->
-    (match Vec.get t.slots slot with
+    (match row_at t slot with
      | Some fresh ->
        List.iter (fun ix -> index_remove_row ix slot fresh) t.secondary
      | None -> ());
-    Vec.set t.slots slot (Some old);
+    Vec.set t.slots slot old;
     List.iter (fun ix -> index_add_row ix slot old) t.secondary
   | Marked_stale -> t.pk_stale <- false
   | Truncated s ->

@@ -16,7 +16,9 @@ type t = {
   name : string;
   schema : Schema.t;
   primary_key : int array;  (** column positions; empty = no PK *)
-  mutable slots : Row.t option Vec.t;
+  mutable slots : Row.t Vec.t;
+      (** rows by slot; a tombstoned slot holds a private sentinel, so
+          read slots through {!row_at} or the iterators *)
   mutable live : int;
   mutable pk_index : int Art.t option;
   mutable pk_stale : bool;
@@ -38,6 +40,10 @@ val pk_key : t -> Row.t -> string
 val iter_rows : (Row.t -> unit) -> t -> unit
 val iter_slots : (int -> Row.t -> unit) -> t -> unit
 val to_rows : t -> Row.t list
+
+val row_at : t -> int -> Row.t option
+(** The live row in a slot; [None] for a tombstoned one. *)
+
 
 val find_secondary : t -> string -> index option
 val secondary_on : t -> int array -> index option

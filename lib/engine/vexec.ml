@@ -815,20 +815,8 @@ and exec_node (catalog : Catalog.t) (plan : Plan.t) : vres =
   | Plan.Scan { table; _ } ->
     { schema; data = Batches (scan_batches (Catalog.find_table catalog table)) }
   | Plan.Index_scan { table; index_name; key_exprs; _ } ->
-    let tbl = Catalog.find_table catalog table in
-    let key =
-      Value.encode_key
-        (Array.of_list
-           (List.map (fun e -> compile_expr catalog [] e [||]) key_exprs))
-    in
-    let rows =
-      if index_name = "" then Option.to_list (Table.pk_lookup tbl key)
-      else
-        match Table.find_secondary tbl index_name with
-        | Some ix -> Table.index_lookup tbl ix key
-        | None -> Error.fail "index %S vanished from table %S" index_name table
-    in
-    { schema; data = Rows rows }
+    { schema;
+      data = Rows (Exec.index_scan_rows catalog ~table ~index_name key_exprs) }
   | Plan.Materialized { rows; _ } -> { schema; data = Rows rows }
   | Plan.Filter { input; predicate } ->
     let inner = vrun catalog input in

@@ -10,7 +10,7 @@ type t = {
   seed : int;          (** generator seed, for provenance and replay *)
   max_steps : int;     (** workload length the generator was asked for *)
   note : string;       (** free-text provenance ("" = none) *)
-  schema : string list;    (** CREATE TABLE statements *)
+  schema : string list;    (** CREATE TABLE (and CREATE INDEX) statements *)
   setup : string list;     (** DML executed before the views are installed *)
   views : string list;     (** CREATE MATERIALIZED VIEW statements, installed
                                in order — later views may read earlier ones

@@ -76,6 +76,27 @@ let schema_sql (s : schema_spec) : string list =
          d.dim_key.ik_name)
     s.dims
 
+(* Secondary indexes in a seeded half of the schemas — one fact key
+   column plus every dimension's join key — so index scans and the base
+   side of index nested-loop joins (fill terms, the MIN/MAX rederive's
+   key-set join) run under the oracle. Drawn from a stream of its own, so
+   every other statement of a seed stays what it was. *)
+let index_sql ~seed (s : schema_spec) : string list =
+  let rng = R.make [| 0x1d8; seed |] in
+  if not (chance rng 1 2) then []
+  else
+    let keys =
+      (match s.str_key with Some k -> [ k ] | None -> [])
+      @ List.map (fun k -> k.ik_name) s.int_keys
+    in
+    let k = pick rng keys in
+    Printf.sprintf "CREATE INDEX idx_fact_%s ON fact(%s)" k k
+    :: List.map
+      (fun d ->
+         Printf.sprintf "CREATE INDEX idx_%s ON %s(%s)" d.dim_name d.dim_name
+           d.dim_key.ik_name)
+      s.dims
+
 (* --- values --- *)
 
 let str_key_value rng =
@@ -458,7 +479,7 @@ let case ?(max_steps = 30) ?(queries = 4) ?(with_view = true) ?cascade ~seed
     () : Case.t =
   let rng = R.make [| 0x6e67; seed |] in
   let spec = gen_schema rng in
-  let schema = schema_sql spec in
+  let schema = schema_sql spec @ index_sql ~seed spec in
   let setup = gen_setup rng spec in
   (* the cascade coin is flipped unconditionally so that, under the
      default [?cascade:None], the RNG stream — and therefore every

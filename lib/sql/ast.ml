@@ -136,6 +136,7 @@ type stmt =
     }
   | Delete of {
       table : string;
+      using : from_clause option;  (** [DELETE FROM t USING src WHERE ...] *)
       where : expr option;
     }
   | Drop of {

@@ -388,8 +388,8 @@ let unindexed_key ?span ~table ~column () =
     ~hint:(Printf.sprintf "CREATE INDEX idx_%s_%s ON %s(%s)" table column
              table column)
     (Printf.sprintf
-       "key column %s.%s has no index; rederive and trigger lookups scan the \
-        table" table column)
+       "key column %s.%s has no index; the rederive's key-set join and join \
+        probes scan the table" table column)
 
 (* --- registry (docs + tests) --- *)
 

@@ -705,8 +705,9 @@ and update_stmt st =
 and delete_stmt st =
   expect_kw st "from";
   let table = ident st in
+  let using = if accept_kw st "using" then Some (from_item st) else None in
   let where = if accept_kw st "where" then Some (expr st) else None in
-  Ast.Delete { table; where }
+  Ast.Delete { table; using; where }
 
 and drop_stmt st =
   let kind =

@@ -297,8 +297,9 @@ let stmt_to_sql ?(upsert_keys = []) ?(upsert_update = []) d (stmt : Ast.stmt) =
       ^ String.concat ", "
           (List.map (fun (c, e) -> q c ^ " = " ^ expr_to_sql d e) assignments)
       ^ (match where with Some e -> " WHERE " ^ expr_to_sql d e | None -> "")
-    | Ast.Delete { table; where } ->
+    | Ast.Delete { table; using; where } ->
       "DELETE FROM " ^ q table
+      ^ (match using with Some f -> " USING " ^ from_to_sql d f | None -> "")
       ^ (match where with Some e -> " WHERE " ^ expr_to_sql d e | None -> "")
     | Ast.Drop { kind; name; if_exists } ->
       let kw = match kind with `Table -> "TABLE" | `View -> "VIEW" | `Index -> "INDEX" in

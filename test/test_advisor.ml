@@ -75,6 +75,37 @@ let suite =
          Alcotest.(check bool) "indexed rederive is far cheaper" true
            (cost_of advice Openivm.Flags.Rederive_affected *. 10.0
             < cost_of advice2 Openivm.Flags.Rederive_affected));
+    Util.tc "rederive is indexed when an index's columns equal the group key"
+      (fun () ->
+         (* the index nested-loop join probes an index whose column set is
+            exactly the group columns, in any order; a prefix index is no
+            use to it *)
+         let view =
+           "SELECT a, b, MIN(x) AS lo FROM t GROUP BY a, b"
+         in
+         let rederive_cost indexes =
+           let db =
+             Util.db_with
+               ("CREATE TABLE t(a INTEGER, b INTEGER, x INTEGER)" :: indexes)
+           in
+           Table.insert_many
+             (Catalog.find_table (Database.catalog db) "t")
+             (List.init 20_000 (fun i ->
+                  [| Value.Int (i mod 40); Value.Int (i mod 7); Value.Int i |]));
+           let advice =
+             Openivm.Advisor.advise (Database.catalog db) (shape_of db view)
+               ~expected_delta:10
+           in
+           (List.find
+              (fun e -> e.Openivm.Advisor.strategy = Openivm.Flags.Rederive_affected)
+              advice.Openivm.Advisor.estimates)
+             .Openivm.Advisor.cost
+         in
+         let none = rederive_cost [] in
+         Alcotest.(check bool) "index on (b, a) narrows the read" true
+           (rederive_cost [ "CREATE INDEX i_ba ON t(b, a)" ] *. 10.0 < none);
+         Alcotest.(check (float 0.0)) "index on a alone does not" none
+           (rederive_cost [ "CREATE INDEX i_a ON t(a)" ]));
     Util.tc "estimates are sorted cheapest-first and cover candidates" (fun () ->
         let db = setup ~rows:10_000 ~domain:100 in
         let advice =

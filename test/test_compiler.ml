@@ -57,9 +57,12 @@ let suite =
         in
         Alcotest.(check bool) "rederive" true
           (c.Openivm.Compiler.script.Openivm.Propagate.kind = Openivm.Propagate.Rederive);
-        check_contains (Openivm.Compiler.propagation_sql c) " IN (SELECT";
-        (* rederive recomputes from the base table *)
-        check_contains (Openivm.Compiler.propagation_sql c) "FROM groups");
+        (* affected groups are joined by key, not matched as strings *)
+        check_contains (Openivm.Compiler.propagation_sql c)
+          "DELETE FROM m USING (SELECT DISTINCT group_index AS __ivm_k1";
+        (* rederive recomputes from the base table, driven by the keys *)
+        check_contains (Openivm.Compiler.propagation_sql c)
+          "AS __ivm_aff CROSS JOIN groups");
     Util.tc "global aggregate uses the stage table" (fun () ->
         let c =
           compile

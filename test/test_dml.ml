@@ -157,4 +157,108 @@ let suite =
         let sorted l = List.sort String.compare l in
         let mvs = Catalog.mat_view_names cat in
         Alcotest.(check (list string)) "mat views sorted" (sorted mvs) mvs);
+    Util.tc "regression: indexed point dml normalises probe keys" (fun () ->
+        List.iter
+          (fun (ddl, index) ->
+             let db =
+               Util.db_with
+                 (ddl :: index
+                  @ [ "INSERT INTO t VALUES (5, 1), (6, NULL), (7, 2)" ])
+             in
+             let affected sql =
+               match Database.exec db sql with
+               | Database.Affected n -> n
+               | _ -> Alcotest.fail "expected a row count"
+             in
+             Alcotest.(check int) (ddl ^ ": update a = 5.0") 1
+               (affected "UPDATE t SET b = 10 WHERE a = 5.0");
+             Alcotest.(check int) (ddl ^ ": delete a = 7.5") 0
+               (affected "DELETE FROM t WHERE a = 7.5");
+             Alcotest.(check int) (ddl ^ ": delete a = NULL") 0
+               (affected "DELETE FROM t WHERE a = NULL");
+             Alcotest.(check int) (ddl ^ ": delete a = 5.0") 1
+               (affected "DELETE FROM t WHERE a = 5.0");
+             Util.check_rows ~msg:ddl db "SELECT a, b FROM t"
+               [ "(6, NULL)"; "(7, 2)" ])
+          [ ("CREATE TABLE t(a INTEGER PRIMARY KEY, b INTEGER)", []);
+            ("CREATE TABLE t(a INTEGER, b INTEGER)",
+             [ "CREATE INDEX idx_a ON t(a)" ]) ]);
   ]
+
+(* DELETE ... USING: every access path (index probe per source row, hash
+   of the source, nested loop) must delete exactly what the equivalent
+   per-row predicate deletes, each row once, with triggers firing *)
+let using_suite =
+  let setup target_ddl =
+    Util.db_with
+      (target_ddl
+       @ [ "CREATE TABLE src(k INTEGER, j VARCHAR, lim INTEGER)";
+           "INSERT INTO t VALUES (1, 'a', 10), (2, 'a', 20), (3, 'b', 30), \
+            (NULL, 'c', 40), (5, NULL, 50)";
+           (* duplicate and NULL keys in the source *)
+           "INSERT INTO src VALUES (1, 'a', 100), (1, 'a', 100), (3, 'x', \
+            100), (NULL, 'c', 100), (5, NULL, 45), (9, 'z', 0)" ])
+  in
+  let plain = "CREATE TABLE t(k INTEGER, j VARCHAR, v INTEGER)" in
+  let targets =
+    [ (* a table-level key admits NULLs, like a view's group key *)
+      ("pk", [ "CREATE TABLE t(k INTEGER, j VARCHAR, v INTEGER, PRIMARY KEY \
+                (k, j))" ]);
+      ("two-column index", [ plain; "CREATE INDEX idx_kj ON t(k, j)" ]);
+      ("one-column index", [ plain; "CREATE INDEX idx_k ON t(k)" ]);
+      ("no index", [ plain ]) ]
+  in
+  let case name where ~remaining =
+    Util.tc ("delete using: " ^ name) (fun () ->
+        List.iter
+          (fun (label, ddl) ->
+             let db = setup ddl in
+             let deleted = ref [] in
+             Trigger.register (Database.triggers db) ~table:"t" ~name:"spy"
+               (fun c -> deleted := c.Trigger.deleted @ !deleted);
+             let sql =
+               "DELETE FROM t USING (SELECT k, j, lim FROM src) AS s" ^ where
+             in
+             let n =
+               match Database.exec db sql with
+               | Database.Affected n -> n
+               | _ -> Alcotest.fail "expected a row count"
+             in
+             Util.check_rows ~msg:(label ^ ": remaining") db
+               "SELECT k, j, v FROM t" remaining;
+             Alcotest.(check int) (label ^ ": trigger saw every row") n
+               (List.length !deleted);
+             Alcotest.(check int) (label ^ ": each row once")
+               (5 - List.length remaining) n)
+          targets)
+  in
+  [ case "plain equality on both key columns"
+      " WHERE t.k = s.k AND t.j = s.j AND t.v < s.lim"
+      ~remaining:
+        [ "(2, a, 20)"; "(3, b, 30)"; "(NULL, c, 40)"; "(5, NULL, 50)" ];
+    case "null-safe keys match NULL"
+      " WHERE (t.k = s.k OR (t.k IS NULL AND s.k IS NULL)) AND (t.j = s.j OR \
+       (t.j IS NULL AND s.j IS NULL))"
+      ~remaining:[ "(2, a, 20)"; "(3, b, 30)" ];
+    case "null-safe key with a residual"
+      " WHERE (t.k = s.k OR (t.k IS NULL AND s.k IS NULL)) AND t.v < s.lim"
+      ~remaining:[ "(2, a, 20)"; "(5, NULL, 50)" ];
+    case "one equi-key column" " WHERE t.k = s.k"
+      ~remaining:[ "(2, a, 20)"; "(NULL, c, 40)" ];
+    case "no equi-key: nested loop" " WHERE t.v > s.lim AND s.lim > 0"
+      ~remaining:[ "(1, a, 10)"; "(2, a, 20)"; "(3, b, 30)"; "(NULL, c, 40)" ];
+    case "no where: every row when the source is non-empty" "" ~remaining:[];
+    Util.tc "delete using: empty source deletes nothing" (fun () ->
+        let db = setup [ plain ] in
+        Util.exec db "DELETE FROM t USING (SELECT k FROM src WHERE k > 100) AS s";
+        Alcotest.(check int) "all kept" 5
+          (List.length (Util.sorted_rows db "SELECT * FROM t")));
+    Util.tc "delete using: a plain table source" (fun () ->
+        let db = setup [ plain; "CREATE INDEX idx_k ON t(k)" ] in
+        Util.exec db "DELETE FROM t USING src WHERE t.k = src.k AND src.lim = 0";
+        Util.exec db
+          "DELETE FROM t USING src AS s2 WHERE t.k = s2.k AND s2.j = 'x'";
+        Util.check_rows db "SELECT k FROM t" [ "(1)"; "(2)"; "(NULL)"; "(5)" ]);
+  ]
+
+let suite = suite @ using_suite

@@ -376,4 +376,46 @@ let suite =
         in
         Alcotest.(check (list string)) "inlj = hash join" (mk ~indexed:false)
           (mk ~indexed:true));
+    Util.tc "regression: inlj normalises float probes of an INTEGER key"
+      (fun () ->
+        let db =
+          Util.db_with
+            [ "CREATE TABLE t(a INTEGER PRIMARY KEY)";
+              "CREATE TABLE f(x DOUBLE)";
+              "INSERT INTO f VALUES (5.0), (5.5), (NULL)" ]
+        in
+        for i = 0 to 9 do
+          Util.exec db (Printf.sprintf "INSERT INTO t VALUES (%d)" i)
+        done;
+        (* 3 probe rows * 2 < 10 rows: the INLJ runs; wrapping t in a
+           subquery forces the hash join over the same data *)
+        Util.check_rows db ~msg:"inlj" "SELECT t.a FROM f JOIN t ON f.x = t.a"
+          [ "(5)" ];
+        Util.check_rows db ~msg:"hash join"
+          "SELECT t.a FROM f JOIN (SELECT a FROM t) AS t ON f.x = t.a"
+          [ "(5)" ]);
+    Util.tc "inlj: null-safe keys probe the NULL key, strict keys do not"
+      (fun () ->
+        let db =
+          Util.db_with
+            [ "CREATE TABLE t(a INTEGER, b VARCHAR, PRIMARY KEY (a))";
+              "CREATE TABLE p(x INTEGER)";
+              "INSERT INTO p VALUES (NULL), (3)" ]
+        in
+        for i = 0 to 9 do
+          Util.exec db (Printf.sprintf "INSERT INTO t VALUES (%d, 'r%d')" i i)
+        done;
+        Util.exec db "INSERT INTO t VALUES (NULL, 'null row')";
+        (* the same join through the INLJ and, with t wrapped in a
+           subquery, through the hash join *)
+        let both on want =
+          Util.check_rows db ~msg:"inlj"
+            ("SELECT t.b FROM p JOIN t ON " ^ on) want;
+          Util.check_rows db ~msg:"hash join"
+            ("SELECT t.b FROM p JOIN (SELECT a, b FROM t) AS t ON " ^ on)
+            want
+        in
+        both "p.x = t.a" [ "(r3)" ];
+        both "p.x = t.a OR (p.x IS NULL AND t.a IS NULL)"
+          [ "(r3)"; "(null row)" ]);
   ]

@@ -161,6 +161,52 @@ let index_suite =
         Alcotest.(check (list string)) "same contents"
           (Util.sorted_rows without "SELECT * FROM t")
           (Util.sorted_rows with_idx "SELECT * FROM t"));
+    (* index probes must match exactly what a scan matches: keys are
+       normalised to the indexed column's declared type, and strict [=]
+       against NULL finds nothing *)
+    Util.tc "regression: b = NULL through an index finds no row" (fun () ->
+        let d =
+          Util.db_with
+            [ "CREATE TABLE t(a INTEGER, b INTEGER)";
+              "CREATE INDEX idx_b ON t(b)";
+              "INSERT INTO t VALUES (1, NULL), (2, 5)" ]
+        in
+        let sql = "SELECT a FROM t WHERE b = NULL" in
+        Alcotest.(check bool) "probes the index" true
+          (contains (plan_of d sql) "INDEX_SCAN");
+        Util.check_rows d sql [];
+        optimizer_preserves d sql);
+    Util.tc "regression: integral float probes an INTEGER key" (fun () ->
+        let d =
+          Util.db_with
+            [ "CREATE TABLE p(a INTEGER PRIMARY KEY, v INTEGER)";
+              "CREATE TABLE s(a INTEGER, v INTEGER)";
+              "CREATE INDEX idx_a ON s(a)";
+              "INSERT INTO p VALUES (5, 50), (6, 60)";
+              "INSERT INTO s VALUES (5, 50), (6, 60), (5, 51)" ]
+        in
+        List.iter
+          (fun (sql, want) ->
+             Alcotest.(check bool) ("probes an index: " ^ sql) true
+               (contains (plan_of d sql) "INDEX_SCAN");
+             Util.check_rows ~msg:sql d sql want;
+             optimizer_preserves d sql)
+          [ ("SELECT v FROM p WHERE a = 5.0", [ "(50)" ]);
+            ("SELECT v FROM s WHERE a = 5.0", [ "(50)"; "(51)" ]);
+            ("SELECT v FROM p WHERE a = 5.5", []);
+            ("SELECT v FROM s WHERE a = 'x'", []) ]);
+    Util.tc "integer probes a FLOAT key" (fun () ->
+        let d =
+          Util.db_with
+            [ "CREATE TABLE f(x DOUBLE, v INTEGER)";
+              "CREATE INDEX idx_x ON f(x)";
+              "INSERT INTO f VALUES (5.0, 1), (5.5, 2)" ]
+        in
+        let sql = "SELECT v FROM f WHERE x = 5" in
+        Alcotest.(check bool) "probes the index" true
+          (contains (plan_of d sql) "INDEX_SCAN");
+        Util.check_rows d sql [ "(1)" ];
+        optimizer_preserves d sql);
   ]
 
 let suite = suite @ index_suite

@@ -102,6 +102,16 @@ let suite =
          ~reference:
            "SELECT group_index, MIN(group_value) AS lo, MAX(group_value) AS \
             hi FROM groups GROUP BY group_index");
+    Util.tc "stored postgres min/max (rederive) script deploys"
+      (deploy_and_check ~dialect:Openivm_sql.Dialect.postgres
+         ~view_sql:
+           "CREATE MATERIALIZED VIEW query_groups AS SELECT group_index, \
+            MIN(group_value) AS lo, MAX(group_value) AS hi FROM groups GROUP \
+            BY group_index"
+         ~initial ~delta_inserts ~delta_deletes
+         ~reference:
+           "SELECT group_index, MIN(group_value) AS lo, MAX(group_value) AS \
+            hi FROM groups GROUP BY group_index");
     Util.tc "stored global-aggregate script deploys"
       (deploy_and_check ~dialect:Openivm_sql.Dialect.duckdb
          ~view_sql:

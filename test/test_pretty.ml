@@ -111,5 +111,26 @@ let suite =
           "INSERT INTO v (k, s) SELECT k, s FROM d ON CONFLICT (k) DO \
            UPDATE SET s = EXCLUDED.s"
           sql);
+    Util.tc "delete using round-trips in both dialects" (fun () ->
+        let sql =
+          "DELETE FROM v USING (SELECT DISTINCT k AS __ivm_k1 FROM d) AS \
+           __ivm_aff WHERE v.k = __ivm_aff.__ivm_k1 OR v.k IS NULL AND \
+           __ivm_aff.__ivm_k1 IS NULL"
+        in
+        let stmt = Parser.parse_statement sql in
+        (match stmt with
+         | Ast.Delete { using = Some (Ast.Subquery (_, "__ivm_aff")); _ } -> ()
+         | _ -> Alcotest.fail "USING source not parsed");
+        List.iter
+          (fun d ->
+             let printed = Pretty.stmt_to_sql d stmt in
+             Alcotest.(check string) (d.Dialect.name ^ " printed") sql printed;
+             Alcotest.(check bool) (d.Dialect.name ^ " reparses") true
+               (Parser.parse_statement printed = stmt))
+          [ Dialect.duckdb; Dialect.postgres ];
+        Alcotest.(check string) "table source"
+          "DELETE FROM t USING s AS x WHERE t.a = x.a"
+          (Pretty.stmt_to_sql Dialect.postgres
+             (Parser.parse_statement "DELETE FROM t USING s x WHERE t.a = x.a")));
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck

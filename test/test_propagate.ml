@@ -110,7 +110,7 @@ let suite =
         Alcotest.(check int) "combine = delete + insert" 2
           (List.length s.Openivm.Propagate.combine);
         Alcotest.(check int) "no prune" 0 (List.length s.Openivm.Propagate.prune));
-    Util.tc "multi-column group rederive uses the tuple key" (fun () ->
+    Util.tc "multi-column group rederive joins on every key column" (fun () ->
         let flags = { Openivm.Flags.default with strategy = Openivm.Flags.Rederive_affected } in
         let c =
           compile ~flags
@@ -118,7 +118,11 @@ let suite =
              GROUP BY k, v"
         in
         let all = String.concat "\n" (sqls c) in
-        Alcotest.(check bool) "concatenated key" true (contains all "||"));
+        Alcotest.(check bool) "one key column per group column" true
+          (contains all "DISTINCT k AS __ivm_k1, v AS __ivm_k2");
+        Alcotest.(check bool) "null-safe match on the second key" true
+          (contains all "v.v IS NULL AND __ivm_aff.__ivm_k2 IS NULL");
+        Alcotest.(check bool) "no string key" false (contains all "||"));
     Util.tc "regression: float-argument SUM/AVG routes to rederive" (fun () ->
         (* fuzz seed 209460: a linear float sum drifts from the recompute
            once deletes retract previously added values (x + d - d loses
